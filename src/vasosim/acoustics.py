@@ -12,7 +12,6 @@ transmission loss; multiple reflections are ignored.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import os
 import sys
@@ -195,13 +194,6 @@ def _make_provider(cfg: RunConfig):
                              step_seconds=cfg.step_seconds)
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -306,20 +298,13 @@ def cmd_assess(cfg: RunConfig, input_path, out_dir, provider=None, sink=None):
         for i, p in enumerate(curve.probs, start=1):
             fh.write(f"{i},{p!r}\n")
     payload = risk.dispatch_alert(
-        tte, curve.prob_now, cfg.policy,
-        sink if payload_triggers(curve.prob_now, tte, cfg.policy) else None,
+        tte, curve.prob_now, cfg.policy, sink,
         session_id=report.session_id, timestamp=report.timestamp,
         recommendation=getattr(provider, "last_recommendation", None))
     _write_json(os.path.join(out_dir, "tte.json"),
                 {**tte.to_dict(), "prob_now": curve.prob_now,
                  "alert": payload.to_dict()})
     return tte, curve, payload
-
-
-def payload_triggers(prob_now, tte, policy):
-    return (prob_now >= policy.warn_prob
-            or prob_now >= policy.critical_prob
-            or tte.tte_step <= policy.critical_horizon)
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir, seed=None):
@@ -376,9 +361,8 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
             tof=tof_s)
         curve = risk.likelihood_curve(report, provider, cfg.horizon)
         tte = risk.compute_tte(curve, cfg.step_seconds)
-        triggered = payload_triggers(curve.prob_now, tte, cfg.policy)
         payload = risk.dispatch_alert(
-            tte, curve.prob_now, cfg.policy, sink if triggered else None,
+            tte, curve.prob_now, cfg.policy, sink,
             session_id=report.session_id, timestamp=timestamp,
             recommendation=getattr(provider, "last_recommendation", None))
         results.append({
@@ -388,7 +372,7 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
             "prob_now": curve.prob_now,
             "tte": tte.to_dict(),
             "severity": payload.severity,
-            "alert_written": triggered,
+            "alert_written": payload.severity != "info",
             "solution_file": os.path.basename(sol_path),
         })
     _write_json(os.path.join(out_dir, "results.json"), results)
@@ -400,7 +384,7 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
                 continue
             full = os.path.join(root, name)
             rel = os.path.relpath(full, out_dir)
-            checksums[rel] = _sha256(full)
+            checksums[rel] = synthdata._sha256(full)
     manifest = {"format_version": synthdata.FORMAT_VERSION,
                 "seed": spec.seed, "checksums": checksums}
     _write_json(os.path.join(out_dir, "pipeline_manifest.json"), manifest)

@@ -16,11 +16,16 @@ The system is closed by a linear-elastic tube law mapping area to pressure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SimulationError, StabilityError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    SimulationError,
+    StabilityError,
+)
 
 __all__ = [
     "Grid",
@@ -30,13 +35,11 @@ __all__ = [
     "area_from_radius",
     "radius_from_area",
     "tube_law",
-    "area_from_pressure",
     "step_continuity",
     "step_momentum",
     "solve_flow",
     "write_radii_csv",
     "read_radii_csv",
-    "read_waveform_csv",
 ]
 
 
@@ -190,16 +193,6 @@ def tube_law(d, model: ArteryModel):
     if not np.all(d > 0):
         raise DomainError("area must be positive")
     out = model.p_ext + model.beta * (np.sqrt(d) - math.sqrt(model.d0))
-    return float(out) if out.ndim == 0 else out
-
-
-def area_from_pressure(p, model: ArteryModel):
-    """Invert the tube law; rejects pressures that would collapse the lumen."""
-    p = np.asarray(p, dtype=float)
-    root = math.sqrt(model.d0) + (p - model.p_ext) / model.beta
-    if not np.all(root > 0):
-        raise DomainError("pressure below lumen-collapse limit of the tube law")
-    out = root * root
     return float(out) if out.ndim == 0 else out
 
 
@@ -389,8 +382,6 @@ def write_radii_csv(path, radii: RadiiField):
 
 
 def read_radii_csv(path, s_max=5.0, cfl=1.0):
-    from .errors import ConfigurationError
-
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
@@ -412,21 +403,3 @@ def read_radii_csv(path, s_max=5.0, cfl=1.0):
         )
     grid = Grid(nx=nx, nt=nt, dx=dx, dt=dt, s_max=s_max, cfl=cfl)
     return RadiiField(values=values, grid=grid)
-
-
-def read_waveform_csv(path):
-    """Two-column CSV t_s,p_pa; returns (t, p) arrays."""
-    from .errors import ConfigurationError
-
-    t, p = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("t_s"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigurationError(f"{path}: expected two columns, got {line!r}")
-            t.append(float(parts[0]))
-            p.append(float(parts[1]))
-    return np.array(t), np.array(p)

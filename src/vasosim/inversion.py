@@ -11,7 +11,7 @@ replace the optimizer behind the same call signature.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

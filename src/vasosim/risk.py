@@ -15,7 +15,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import requests
@@ -44,7 +44,6 @@ __all__ = [
     "LlmProvider",
     "dispatch_alert",
     "FileSink",
-    "WebhookSink",
 ]
 
 
@@ -225,23 +224,33 @@ def logistic_provider(weights, bias, horizon_decay=0.0):
 class LlmProvider:
     """Remote likelihood provider speaking the JSON wire protocol.
 
-    Retries transient transport failures with exponential backoff; a
-    semaphore caps concurrent in-flight requests. The optional
-    ``recommendation`` from the last successful response is kept on
-    ``last_recommendation``.
+    Retries transient transport failures with exponential backoff. The
+    optional ``recommendation`` from the last successful response is kept
+    on ``last_recommendation``.
+
+    A session built here resolves the environment's proxies, CA bundle and
+    netrc credentials for ``endpoint`` once, instead of on every request;
+    a caller-supplied ``session`` is used as given.
     """
 
     def __init__(self, endpoint, timeout=5.0, template_version="v1",
                  step_seconds=3600.0, max_retries=2, backoff=0.1,
-                 max_in_flight=4, session=None):
+                 session=None):
         self.endpoint = endpoint
         self.timeout = timeout
         self.template_version = template_version
         self.step_seconds = step_seconds
         self.max_retries = max_retries
         self.backoff = backoff
-        self._semaphore = threading.Semaphore(max_in_flight)
-        self._http = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            env = session.merge_environment_settings(
+                endpoint, {}, None, None, None)
+            session.proxies = env["proxies"]
+            session.verify = env["verify"]
+            session.auth = requests.utils.get_netrc_auth(endpoint)
+            session.trust_env = False
+        self._http = session
         self.last_recommendation = None
 
     def __call__(self, report: BiophysicsReport, step: int):
@@ -254,9 +263,8 @@ class LlmProvider:
         last_exc = None
         for attempt in range(self.max_retries + 1):
             try:
-                with self._semaphore:
-                    resp = self._http.post(self.endpoint, json=body,
-                                           timeout=self.timeout)
+                resp = self._http.post(self.endpoint, json=body,
+                                       timeout=self.timeout)
             except requests.Timeout as exc:
                 last_exc = ProviderTimeoutError(
                     f"no answer from {self.endpoint} within {self.timeout}s")
@@ -321,30 +329,6 @@ class FileSink:
             self._seen.add(payload.idempotency_key)
 
 
-class WebhookSink:
-    """POSTs each payload once; duplicate idempotency keys are dropped."""
-
-    def __init__(self, url, timeout=5.0, session=None):
-        self.url = url
-        self.timeout = timeout
-        self._http = session or requests.Session()
-        self._lock = threading.Lock()
-        self._seen = set()
-
-    def write(self, payload: AlertPayload):
-        with self._lock:
-            if payload.idempotency_key in self._seen:
-                return
-            try:
-                resp = self._http.post(self.url, json=payload.to_dict(),
-                                       timeout=self.timeout)
-            except requests.RequestException as exc:
-                raise DispatchError(f"webhook post failed: {exc}") from exc
-            if not 200 <= resp.status_code < 300:
-                raise DispatchError(f"webhook answered status {resp.status_code}")
-            self._seen.add(payload.idempotency_key)
-
-
 _RECOMMENDATIONS = {
     "critical": "Contact the emergency hotline now; do not wait for symptoms "
                 "to worsen.",
@@ -356,7 +340,8 @@ _RECOMMENDATIONS = {
 
 def dispatch_alert(tte: TTEResult, prob_now, policy: AlertPolicy, sink,
                    session_id, timestamp, recommendation=None):
-    """Build the alert payload, classify severity per policy, write to sink.
+    """Build the alert payload and classify severity per policy; write it to
+    ``sink`` unless the severity is "info".
 
     The payload is returned even when the sink write fails (the failure is
     re-raised as DispatchError after attaching the payload).
@@ -376,7 +361,7 @@ def dispatch_alert(tte: TTEResult, prob_now, policy: AlertPolicy, sink,
         recommendation=recommendation or _RECOMMENDATIONS[severity],
         severity=severity,
     )
-    if sink is not None:
+    if sink is not None and severity != "info":
         try:
             sink.write(payload)
         except DispatchError as exc:

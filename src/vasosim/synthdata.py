@@ -12,14 +12,14 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import acoustics, hemogrid
 from .acoustics import EchoTrace, PulseSpec
 from .errors import CorruptionError, DomainError, VersionError
-from .hemogrid import ArteryModel, Grid
+from .hemogrid import ArteryModel, Grid, RadiiField
 
 __all__ = [
     "ScenarioSpec",
@@ -176,12 +176,14 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _atomic_write(path, writer):
+def _atomic_write(path, write):
+    """Call ``write(tmp_path)`` on a sibling temp file, then rename it over
+    ``path``, so readers never see a partial file."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=".tmp-", text=True)
+                               prefix=".tmp-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            writer(fh)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -228,37 +230,27 @@ def spec_from_json(d):
     )
 
 
-def write_dataset(sessions, path, spec: ScenarioSpec | None = None):
-    """Write sessions + manifest under ``path``; returns the manifest dict."""
+def write_dataset(sessions, path, spec: ScenarioSpec):
+    """Write sessions + manifest under ``path``; returns the manifest dict.
+
+    Radii go through :func:`hemogrid.write_radii_csv` as a one-column field
+    and echoes through :func:`acoustics.write_echo_csv`, so dataset files
+    are readable by the CLI commands that take those formats.
+    """
     os.makedirs(path, exist_ok=True)
+    column_grid = replace(spec.grid, nt=1)
     entries = []
     checksums = {}
     for sess in sessions:
         radii_name = f"session_{sess.session_index:04d}_radii.csv"
         echo_name = f"session_{sess.session_index:04d}_echo.csv"
-        radii_path = os.path.join(path, radii_name)
-
-        dx = spec.grid.dx if spec is not None else 1.0
-        dt = spec.grid.dt if spec is not None else 1.0
-
-        def write_radii(fh, sess=sess, dx=dx, dt=dt):
-            n = sess.radii_truth.size
-            fh.write(f"# {n},1,{dx!r},{dt!r}\n")
-            fh.write(",".join(f"{float(v)!r}" for v in sess.radii_truth) + "\n")
-
-        _atomic_write(radii_path, write_radii)
-        echo_path = os.path.join(path, echo_name)
-
-        def write_echo(fh, sess=sess):
-            tr = sess.echo
-            fh.write(f"# fs={tr.fs!r} session={tr.session_id}\n")
-            fh.write("t_s,p_pa\n")
-            for i, v in enumerate(tr.samples):
-                fh.write(f"{float(tr.t0 + i / tr.fs)!r},{float(v)!r}\n")
-
-        _atomic_write(echo_path, write_echo)
-        checksums[radii_name] = _sha256(radii_path)
-        checksums[echo_name] = _sha256(echo_path)
+        radii = RadiiField(values=sess.radii_truth[:, None], grid=column_grid)
+        _atomic_write(os.path.join(path, radii_name),
+                      lambda tmp: hemogrid.write_radii_csv(tmp, radii))
+        _atomic_write(os.path.join(path, echo_name),
+                      lambda tmp: acoustics.write_echo_csv(tmp, sess.echo))
+        for name in (radii_name, echo_name):
+            checksums[name] = _sha256(os.path.join(path, name))
         entries.append({
             "index": sess.session_index,
             "label_v": sess.label_v,
@@ -271,17 +263,22 @@ def write_dataset(sessions, path, spec: ScenarioSpec | None = None):
         })
     manifest = {
         "format_version": FORMAT_VERSION,
-        "spec": _spec_to_json(spec) if spec is not None else None,
+        "spec": _spec_to_json(spec),
         "sessions": entries,
         "checksums": checksums,
     }
-    _atomic_write(os.path.join(path, "manifest.json"),
-                  lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True))
+
+    def write_manifest(tmp):
+        with open(tmp, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+
+    _atomic_write(os.path.join(path, "manifest.json"), write_manifest)
     return manifest
 
 
 def read_dataset(path):
-    """Load sessions back; verifies per-file checksums and the format tag."""
+    """Load sessions back; verifies per-file checksums, the format tag, and
+    each file's header and shape."""
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != FORMAT_VERSION:
@@ -291,25 +288,15 @@ def read_dataset(path):
         actual = _sha256(os.path.join(path, name))
         if actual != digest:
             raise CorruptionError(f"{name}: checksum mismatch")
+    grid = manifest["spec"]["grid"]
     sessions = []
     for entry in manifest["sessions"]:
-        with open(os.path.join(path, entry["radii_file"])) as fh:
-            fh.readline()
-            radii = np.array([float(v) for v in fh.readline().split(",")])
-        t, p = [], []
-        with open(os.path.join(path, entry["echo_file"])) as fh:
-            fh.readline()
-            fh.readline()
-            for line in fh:
-                line = line.strip()
-                if line:
-                    a, b = line.split(",")
-                    t.append(float(a))
-                    p.append(float(b))
-        echo = EchoTrace(samples=np.array(p), fs=entry["fs"], t0=entry["t0"],
-                         session_id=entry["session_id"])
+        radii = hemogrid.read_radii_csv(
+            os.path.join(path, entry["radii_file"]),
+            s_max=grid["s_max"], cfl=grid["cfl"])
+        echo = acoustics.read_echo_csv(os.path.join(path, entry["echo_file"]))
         sessions.append(LabeledSession(
-            radii_truth=radii, echo=echo, label_v=entry["label_v"],
+            radii_truth=radii.column(0), echo=echo, label_v=entry["label_v"],
             future_labels=np.array(entry["future_labels"]),
             session_index=entry["index"]))
     return sessions

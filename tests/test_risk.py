@@ -266,6 +266,19 @@ class TestLlmProvider:
         with pytest.raises(ProviderTimeoutError):
             provider(make_report(), 0)
 
+    def test_environment_proxy_honoured(self, stub_server, monkeypatch):
+        # the host cannot resolve, so only the proxy can answer
+        handler, url = stub_server
+        handler.behavior = staticmethod(lambda body: (200, {"probability": 0.3}))
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, url)
+        provider = risk.llm_provider("http://vasosim-endpoint.invalid/",
+                                     timeout=2.0, max_retries=0)
+        assert provider(make_report(), 0) == 0.3
+        assert len(handler.requests_seen) == 1
+
     def test_unreachable_endpoint(self):
         provider = risk.llm_provider("http://127.0.0.1:1/", timeout=0.2,
                                      max_retries=0)
@@ -292,6 +305,10 @@ class TestDispatch:
             payload = risk.dispatch_alert(self.make_tte(step=step), prob_now,
                                           policy, sink, "s0000", float(i))
             assert payload.severity == expected
+        # the info-severity alert is not written to the sink
+        written = (tmp_path / "alerts.jsonl").read_text().splitlines()
+        assert [json.loads(line)["severity"] for line in written] \
+            == ["critical", "critical", "warn"]
 
     def test_file_sink_idempotent(self, tmp_path):
         path = tmp_path / "alerts.jsonl"

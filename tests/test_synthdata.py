@@ -1,10 +1,16 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from vasosim import synthdata
-from vasosim.errors import CorruptionError, DomainError, VersionError
+from vasosim import cli, synthdata
+from vasosim.errors import (
+    ConfigurationError,
+    CorruptionError,
+    DomainError,
+    VersionError,
+)
 from vasosim.hemogrid import Grid
 
 
@@ -165,3 +171,47 @@ class TestDatasetIO:
         assert (tmp_path / "a" / "manifest.json").read_bytes() \
             == (tmp_path / "b" / "manifest.json").read_bytes()
         assert m1 == m2
+
+    def test_wrong_length_radii_row_rejected(self, model, pulse, tmp_path):
+        self.make_dataset(model, pulse, tmp_path)
+        victim = tmp_path / "session_0000_radii.csv"
+        header, row = victim.read_text().splitlines()
+        victim.write_text(header + "\n" + row.rsplit(",", 1)[0] + "\n")
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["checksums"][victim.name] = hashlib.sha256(
+            victim.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError):
+            synthdata.read_dataset(tmp_path)
+
+
+# SHA-256 of every file gen-data writes for PINNED_OVERRIDES and seed 3,
+# recorded with numpy 2.4 on x86-64. A mismatch means the dataset bytes
+# changed; a deliberate format change bumps FORMAT_VERSION and these.
+PINNED_OVERRIDES = {
+    ("grid", "nx"): "16", ("grid", "nt"): "20",
+    ("scenario", "sessions"): "2", ("scenario", "stenosis_center"): "8",
+    ("scenario", "stenosis_width"): "2.0", ("risk", "horizon"): "4",
+}
+PINNED_DIGESTS = {
+    "manifest.json":
+        "4da94721912aeb7ed2dafade5c300f2ee2e427df560b30c6ca2721342bd16dd1",
+    "session_0000_echo.csv":
+        "ae0b132a0217c790f1119025e4c7c5c43667a8c607002faa04940c91cc58a9e3",
+    "session_0000_radii.csv":
+        "4a9eae1282c1a048cd31d272ce5424dc9291f0339a869a6670c6b7b4718a6849",
+    "session_0001_echo.csv":
+        "1bcb9d0f347aa889f3ffc55e58ded2e58df26418c7eb0827607d095db759110d",
+    "session_0001_radii.csv":
+        "8c78d1a96a33338193f1794dbc83cc4083beb6548169fd4d38a3b24f0e2ee79c",
+}
+
+
+def test_gen_data_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.DEFAULT_CONFIG_ENV, raising=False)
+    cfg = cli.load_config(None, overrides=PINNED_OVERRIDES)
+    cli.cmd_gen_data(cfg, tmp_path, seed=3)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == PINNED_DIGESTS
