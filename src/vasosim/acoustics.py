@@ -5,10 +5,14 @@ The incident/reflected field is the two-term harmonic
     P(x, r, t) = A exp(i(w t - kx x - kr r)) + B exp(i(w t - kx x + kr r))
 
 with the dispersion closure w^2 = c^2 (kx^2 + kr^2) so that both terms
-solve the classical wave equation. Echo synthesis is single-scattering:
-one windowed arrival per impedance interface, delayed by the round trip
-2x/c and scaled by the reflection coefficient times the accumulated
-transmission loss; multiple reflections are ignored.
+solve the classical wave equation. Echo synthesis is single-scattering
+and factors as ``w(r) @ B``: the burst matrix B holds one windowed
+arrival per impedance interface, delayed by the round trip 2x/c, and the
+reflectivity w scales each by the reflection coefficient times the
+accumulated transmission loss; multiple reflections are ignored. B
+depends only on the grid and the sampling, and
+:func:`reflectivity_adjoint` gives the exact (dw/dr)^T v, so synthesis
+and inversion share one forward operator and its derivative.
 """
 from __future__ import annotations
 
@@ -33,6 +37,9 @@ __all__ = [
     "wave_equation_residual",
     "reflection_coefficient",
     "incident_pulse",
+    "burst_matrix",
+    "reflectivity",
+    "reflectivity_adjoint",
     "synthesize_echo",
     "estimate_tof",
     "density_change",
@@ -232,43 +239,78 @@ def _check_sampling(pulse, fs):
             f"fs={fs} must exceed 4x the pulse frequency {f0:.3g} Hz")
 
 
+def burst_matrix(pulse: PulseSpec, grid: Grid, fs, duration, n_cycles=5):
+    """Echo basis B of shape (nx - 1, n_samples).
+
+    Row i is the incident burst delayed by the round trip 2*x_i/c to the
+    interface between cells i and i+1; B depends only on the pulse, the
+    grid and the sampling, never on the radii.
+    """
+    _check_sampling(pulse, fs)
+    if duration < 2 * grid.nx * grid.dx / pulse.c:
+        raise ConfigurationError(
+            "duration does not cover the round trip over the segment")
+    t = np.arange(int(round(duration * fs))) / fs
+    x_i = (np.arange(grid.nx - 1) + 1) * grid.dx
+    delays = 2 * x_i / pulse.c
+    return _windowed_harmonic(pulse, t[None, :] - delays[:, None], n_cycles)
+
+
+def _gammas_and_loss(radii, model):
+    areas = np.pi * np.asarray(radii, dtype=float)**2
+    gammas = np.atleast_1d(reflection_coefficient(areas[:-1], areas[1:], model))
+    # two-way transmission loss accumulated over interfaces closer to the probe
+    loss = np.concatenate(([1.0], np.cumprod(1.0 - gammas**2)[:-1]))
+    return gammas, loss
+
+
+def reflectivity(radii_column, model: ArteryModel):
+    """Interface weights w_i = Gamma_i * prod_{m<i}(1 - Gamma_m^2)."""
+    gammas, loss = _gammas_and_loss(radii_column, model)
+    return gammas * loss
+
+
+def reflectivity_adjoint(radii_column, model: ArteryModel, v):
+    """(dw/dr)^T v for the weights w of :func:`reflectivity`, in O(nx).
+
+    dw/dGamma is lower-triangular:
+    u_m = loss_m v_m - 2 Gamma_m/(1 - Gamma_m^2) sum_{i>m} w_i v_i.
+    dGamma/dr is bidiagonal: with s = r_i^2 + r_{i+1}^2,
+    dGamma_i/dr_i = 4 r_i r_{i+1}^2/s^2 and
+    dGamma_i/dr_{i+1} = -4 r_i^2 r_{i+1}/s^2.
+    """
+    r = np.asarray(radii_column, dtype=float)
+    gammas, loss = _gammas_and_loss(r, model)
+    wv = gammas * loss * v
+    beyond = np.concatenate((np.cumsum(wv[::-1])[::-1][1:], [0.0]))
+    u = loss * v - 2 * gammas / (1 - gammas**2) * beyond
+    r_l, r_r = r[:-1], r[1:]
+    s2 = (r_l**2 + r_r**2) ** 2
+    g = np.zeros(r.size)
+    g[:-1] += u * 4 * r_l * r_r**2 / s2
+    g[1:] -= u * 4 * r_l**2 * r_r / s2
+    return g
+
+
 def synthesize_echo(radii_column, pulse: PulseSpec, grid: Grid,
                     model: ArteryModel, fs, duration, n_cycles=5,
                     session_id=""):
-    """Single-scattering echo from one radii column.
+    """Single-scattering echo ``reflectivity(r) @ burst_matrix(...)``.
 
     Each interface between cells i and i+1 contributes a copy of the
     incident burst delayed by the round trip 2*x_i/c and scaled by
     Gamma_i times the accumulated two-way transmission loss
     prod_{m<i}(1 - Gamma_m^2).
     """
-    _check_sampling(pulse, fs)
     radii = np.asarray(radii_column, dtype=float)
     if radii.shape != (grid.nx,):
         raise DomainError("radii column length must equal grid.nx")
-    if duration < 2 * grid.nx * grid.dx / pulse.c:
-        raise ConfigurationError(
-            "duration does not cover the round trip over the segment")
-    n = int(round(duration * fs))
-    t = np.arange(n) / fs
-
-    areas = np.pi * radii**2
-    gammas = reflection_coefficient(areas[:-1], areas[1:], model)
-    gammas = np.atleast_1d(gammas)
-    # two-way transmission loss accumulated over interfaces closer to the probe
-    loss = np.concatenate(([1.0], np.cumprod(1.0 - gammas**2)[:-1]))
-    x_i = (np.arange(grid.nx - 1) + 1) * grid.dx
-    delays = 2 * x_i / pulse.c
-
-    active = np.nonzero(gammas != 0)[0]
-    if active.size == 0:
-        return EchoTrace(samples=np.zeros(n), fs=fs, session_id=session_id)
-    # (n_active, n) matrix of shifted burst copies, summed with their weights
-    t_shift = t[None, :] - delays[active, None]
-    bursts = _windowed_harmonic(pulse, t_shift, n_cycles)
-    weights = gammas[active] * loss[active]
-    samples = weights @ bursts
-    return EchoTrace(samples=samples, fs=fs, session_id=session_id)
+    bursts = burst_matrix(pulse, grid, fs, duration, n_cycles)
+    weights = reflectivity(radii, model)
+    if not np.any(weights):
+        return EchoTrace(samples=np.zeros(bursts.shape[1]), fs=fs,
+                         session_id=session_id)
+    return EchoTrace(samples=weights @ bursts, fs=fs, session_id=session_id)
 
 
 def estimate_tof(incident: EchoTrace, echo: EchoTrace,
@@ -348,8 +390,11 @@ def read_echo_csv(path):
             parts = line.split(",")
             if len(parts) != 2:
                 raise ConfigurationError(f"{path}: expected two columns, got {line!r}")
-            t.append(float(parts[0]))
-            p.append(float(parts[1]))
+            try:
+                t.append(float(parts[0]))
+                p.append(float(parts[1]))
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: non-numeric row {line!r}") from exc
     if len(p) < 2:
         raise ConfigurationError(f"{path}: trace needs at least 2 samples")
     return EchoTrace(samples=np.array(p), fs=fs, t0=t[0], session_id=session_part)

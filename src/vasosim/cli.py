@@ -135,7 +135,6 @@ def load_config(path=None, overrides=None):
             max_iter=get("solver", "max_iter", int, 500),
             grad_tol=get("solver", "grad_tol", float, 1e-8),
             step_tol=get("solver", "step_tol", float, 1e-12),
-            fd_step=get("solver", "fd_step", float, 1e-6),
         )
         lam = get("solver", "lambda", float, 1e-4)
         if lam < 0:
@@ -369,6 +368,8 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
             "session": sess.session_index,
             "label_v": sess.label_v,
             "stenosis_index": report.stenosis_index,
+            "converged": solution.converged,
+            "iterations": solution.iterations,
             "prob_now": curve.prob_now,
             "tte": tte.to_dict(),
             "severity": payload.severity,

@@ -391,12 +391,13 @@ def read_radii_csv(path, s_max=5.0, cfl=1.0):
             nx, nt, dx, dt = int(nx_s), int(nt_s), float(dx_s), float(dt_s)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: malformed header {header!r}") from exc
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    values = np.array(rows, dtype=float).T
+        try:
+            rows = [[float(v) for v in line.split(",")]
+                    for line in map(str.strip, fh) if line]
+            values = np.array(rows, dtype=float).T
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{path}: body is not a rectangle of numbers: {exc}") from exc
     if values.shape != (nx, nt):
         raise ConfigurationError(
             f"{path}: body shape {values.shape} does not match header ({nx}, {nt})"

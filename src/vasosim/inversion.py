@@ -5,18 +5,28 @@ search on
 
     J(r) = 0.5 ||F(r) - y||^2 + lambda ||L (r - prior)||^2
 
-where F is the single-scattering echo forward map and L the interior
-second-difference operator. A solver registry lets a learned surrogate
-replace the optimizer behind the same call signature.
+where F(r) = w(r) @ B is the single-scattering echo forward map of
+:mod:`vasosim.acoustics` and L the interior second-difference operator.
+Each problem builds the burst matrix B once; the gradient is exact, the
+adjoint (dw/dr)^T B (F(r) - y) plus the penalty term, at the cost of one
+forward evaluation. A solver registry lets a learned surrogate replace the
+optimizer behind the same call signature.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .acoustics import EchoTrace, PulseSpec, synthesize_echo
+from .acoustics import (
+    EchoTrace,
+    PulseSpec,
+    burst_matrix,
+    reflectivity,
+    reflectivity_adjoint,
+    synthesize_echo,  # not called here; perfbench/spans.py wraps this name
+)
 from .errors import (
     DomainError,
     NumericalError,
@@ -48,6 +58,7 @@ class InverseProblem:
     lam: float = 1e-4
     prior: np.ndarray | None = None
     bounds: tuple[float, float] = (1e-4, 1e-2)
+    bursts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -64,16 +75,18 @@ class InverseProblem:
         if np.any(prior < r_min) or np.any(prior > r_max):
             raise DomainError("prior must lie within bounds")
         object.__setattr__(self, "prior", prior)
+        bursts = burst_matrix(self.pulse, self.grid, self.observed.fs,
+                              self.duration)
+        bursts.setflags(write=False)
+        object.__setattr__(self, "bursts", bursts)
 
     @property
     def duration(self):
         return self.observed.samples.size / self.observed.fs
 
     def forward(self, radii):
-        """Forward map F: radii column -> echo samples."""
-        trace = synthesize_echo(radii, self.pulse, self.grid, self.model,
-                                fs=self.observed.fs, duration=self.duration)
-        return trace.samples
+        """Forward map F: radii column -> echo samples, w(r) @ B."""
+        return reflectivity(radii, self.model) @ self.bursts
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,7 @@ class SolverOptions:
     max_iter: int = 500
     grad_tol: float = 1e-8   # relative to the initial gradient norm
     step_tol: float = 1e-12  # relative step size ||dr||/||r||
-    fd_step: float = 1e-6    # relative finite-difference step
+    fd_step: float = 1e-6    # relative step of central_gradient only
     ls_shrink: float = 0.5
     ls_c1: float = 1e-4
     obj_floor: float = 1e-20
@@ -134,7 +147,9 @@ def second_difference_matrix(n):
     return L
 
 
-def _check_bounds(radii, problem):
+def _check_radii(radii, problem):
+    if radii.shape != (problem.grid.nx,):
+        raise DomainError("radii column length must equal grid.nx")
     r_min, r_max = problem.bounds
     if np.any(radii < r_min - 1e-15) or np.any(radii > r_max + 1e-15):
         raise DomainError("radii outside bounds")
@@ -143,7 +158,7 @@ def _check_bounds(radii, problem):
 def objective(radii, problem: InverseProblem):
     """Data misfit plus smoothing penalty; see module docstring."""
     radii = np.asarray(radii, dtype=float)
-    _check_bounds(radii, problem)
+    _check_radii(radii, problem)
     residual = problem.forward(radii) - problem.observed.samples
     data_term = 0.5 * float(residual @ residual)
     L = second_difference_matrix(problem.grid.nx)
@@ -152,44 +167,38 @@ def objective(radii, problem: InverseProblem):
 
 
 def gradient(radii, problem: InverseProblem, options: SolverOptions):
-    """Forward finite-difference gradient of :func:`objective`."""
-    return _fd_gradient(radii, problem, options, central=False)
+    """Exact gradient of :func:`objective` by the adjoint of the echo map.
 
-
-def _fd_gradient(radii, problem, options, central):
+    ``options`` is not read; it keeps the signature the solver calls.
+    """
     radii = np.asarray(radii, dtype=float)
-    g = np.empty(radii.size)
-    f0 = None if central else objective(radii, problem)
-    if f0 is not None and not np.isfinite(f0):
-        raise NumericalError("objective is non-finite at the base point")
-    r_min, r_max = problem.bounds
-    for i in range(radii.size):
-        h = options.fd_step * abs(radii[i])
-        probe = radii.copy()
-        if central:
-            probe[i] = radii[i] + h
-            f_plus = objective(np.clip(probe, r_min, r_max), problem)
-            probe[i] = radii[i] - h
-            f_minus = objective(np.clip(probe, r_min, r_max), problem)
-            g[i] = (f_plus - f_minus) / (2 * h)
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericalError(f"non-finite objective probing component {i}")
-        else:
-            probe[i] = min(radii[i] + h, r_max)
-            h_eff = probe[i] - radii[i]
-            if h_eff == 0:  # at the upper bound, step backwards
-                probe[i] = radii[i] - h
-                h_eff = -h
-            f1 = objective(probe, problem)
-            if not np.isfinite(f1):
-                raise NumericalError(f"non-finite objective probing component {i}")
-            g[i] = (f1 - f0) / h_eff
+    _check_radii(radii, problem)
+    residual = problem.forward(radii) - problem.observed.samples
+    L = second_difference_matrix(problem.grid.nx)
+    g = reflectivity_adjoint(radii, problem.model, problem.bursts @ residual) \
+        + 2 * problem.lam * (L.T @ (L @ (radii - problem.prior)))
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("non-finite gradient")
     return g
 
 
 def central_gradient(radii, problem, options):
-    """Central-difference gradient; the validation oracle for :func:`gradient`."""
-    return _fd_gradient(radii, problem, options, central=True)
+    """Central differences of :func:`objective` at relative step
+    ``options.fd_step``; the validation oracle for :func:`gradient`."""
+    radii = np.asarray(radii, dtype=float)
+    g = np.empty(radii.size)
+    r_min, r_max = problem.bounds
+    for i in range(radii.size):
+        h = options.fd_step * abs(radii[i])
+        probe = radii.copy()
+        probe[i] = radii[i] + h
+        f_plus = objective(np.clip(probe, r_min, r_max), problem)
+        probe[i] = radii[i] - h
+        f_minus = objective(np.clip(probe, r_min, r_max), problem)
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise NumericalError(f"non-finite objective probing component {i}")
+        g[i] = (f_plus - f_minus) / (2 * h)
+    return g
 
 
 def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):

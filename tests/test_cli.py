@@ -129,6 +129,36 @@ class TestExitCodes:
         # the solution file is still written for inspection
         assert (tmp_path / "out" / "solution.json").exists()
 
+    def _radii_csv(self, tmp_path, edit):
+        radii = np.full((32, 2), 2e-3)
+        path = tmp_path / "radii.csv"
+        hemogrid.write_radii_csv(path, RadiiField(values=radii,
+                                                  grid=make_grid(32, nt=2)))
+        lines = path.read_text().splitlines()
+        lines[-1] = edit(lines[-1])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda row: "abc," + row.split(",", 1)[1],
+        lambda row: row.rsplit(",", 1)[0],
+    ], ids=["non-numeric", "short-row"])
+    def test_bad_radii_body(self, small_config, tmp_path, edit):
+        path = self._radii_csv(tmp_path, edit)
+        code = cli.main(["--config", small_config,
+                         "--out", str(tmp_path / "out"), "echo", str(path)])
+        assert code == cli.EXIT_CONFIG
+
+    def test_non_numeric_echo_body(self, small_config, tmp_path):
+        trace = acoustics.EchoTrace(samples=np.zeros(8), fs=8e5)
+        path = tmp_path / "echo.csv"
+        acoustics.write_echo_csv(path, trace)
+        text = path.read_text().replace(",0.0\n", ",xyz\n", 1)
+        path.write_text(text)
+        code = cli.main(["--config", small_config,
+                         "--out", str(tmp_path / "out"), "invert", str(path)])
+        assert code == cli.EXIT_CONFIG
+
 
 class TestSimulate:
     def test_quiescent_run(self, small_config, tmp_path):
@@ -293,6 +323,17 @@ class TestGenDataAndPipeline:
         for rec in results:
             assert 0 <= rec["prob_now"] <= 1
             assert rec["tte"]["tte_step"] >= 1
+
+    def test_results_record_solver_outcome(self, small_config, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["--config", small_config, "--out", str(out),
+                         "pipeline"]) == 0
+        for rec in json.loads((out / "results.json").read_text()):
+            assert type(rec["converged"]) is bool
+            assert type(rec["iterations"]) is int
+            sol = json.loads((out / rec["solution_file"]).read_text())
+            assert rec["converged"] == sol["converged"]
+            assert rec["iterations"] == sol["iterations"]
 
     def test_pipeline_deterministic(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

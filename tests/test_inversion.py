@@ -54,6 +54,19 @@ class TestObjective:
             inv.objective(np.full(16, 1e-6), problem)
 
 
+class TestForward:
+    def test_matches_synthesize_echo_bitwise(self, model, pulse):
+        rng = np.random.default_rng(5)
+        truth = stenotic_column(model, 64, 32, 2.0, 0.2)
+        problem = make_problem(model, pulse, truth)
+        columns = [truth, stenotic_column(model, 64, 20, 3.0, 0.5)] + [
+            model.r0 * (1 + 0.2 * rng.uniform(-1, 1, 64)) for _ in range(5)]
+        for radii in columns:
+            echo = ac.synthesize_echo(radii, pulse, problem.grid, model,
+                                      fs=FS, duration=problem.duration)
+            assert problem.forward(radii).tobytes() == echo.samples.tobytes()
+
+
 class TestGradient:
     def test_stationary_at_noiseless_minimum(self, model, pulse):
         truth = stenotic_column(model, 32, 16, 2.0, 0.2)
@@ -61,7 +74,8 @@ class TestGradient:
         g = inv.gradient(truth, problem, inv.SolverOptions())
         # scale: gradient of the data term at the prior
         g_prior = inv.gradient(problem.prior, problem, inv.SolverOptions())
-        # forward differencing leaves O(fd_step) bias at the exact minimum
+        # the observed echo is forward(truth) bit for bit, so the residual
+        # and with it the exact gradient vanish here
         assert np.linalg.norm(g) < 1e-5 * np.linalg.norm(g_prior)
 
     def test_forward_vs_central_random_problems(self, model, pulse):
@@ -76,13 +90,26 @@ class TestGradient:
             denom = np.maximum(np.abs(gc), 1e-6 * np.max(np.abs(gc)))
             assert np.max(np.abs(gf - gc) / denom) < 1e-4
 
+    def test_adjoint_vs_central_noisy_penalized(self, model, pulse):
+        truth = stenotic_column(model, 64, 32, 2.0, 0.2)
+        problem = make_problem(model, pulse, truth, lam=1e2, noise=0.01,
+                               seed=4)
+        rng = np.random.default_rng(1)
+        options = inv.SolverOptions(fd_step=3e-8)
+        for _ in range(5):
+            x = model.r0 * (1 + 0.1 * rng.uniform(-1, 1, 64))
+            g = inv.gradient(x, problem, options)
+            gc = inv.central_gradient(x, problem, options)
+            denom = np.maximum(np.abs(gc), 1e-6 * np.max(np.abs(gc)))
+            assert np.max(np.abs(g - gc) / denom) < 1e-4
+
     def test_pure_penalty_closed_form(self, model, pulse):
         # observed echo generated at the evaluation point, so the data term
         # is stationary there and only the penalty gradient remains
         lam = 1e8
         truth = stenotic_column(model, 64, 32, 2.0, 0.2)
         problem = make_problem(model, pulse, truth, lam=lam)
-        gf = inv.gradient(truth, problem, inv.SolverOptions(fd_step=1e-9))
+        gf = inv.gradient(truth, problem, inv.SolverOptions())
         L = inv.second_difference_matrix(64)
         expected = 2 * lam * (L.T @ L @ (truth - problem.prior))
         rel = np.linalg.norm(gf - expected) / np.linalg.norm(expected)
