@@ -113,10 +113,6 @@ class EchoTrace:
         if samples.size < 2:
             raise DomainError("trace needs at least 2 samples")
 
-    @property
-    def times(self):
-        return self.t0 + np.arange(self.samples.size) / self.fs
-
 
 @dataclass(frozen=True)
 class ToFMeasurement:
@@ -130,17 +126,13 @@ class ToFMeasurement:
         if not -1.0 - 1e-12 <= self.peak_correlation <= 1.0 + 1e-12:
             raise DomainError("peak_correlation must lie in [-1, 1]")
 
-    def to_dict(self):
-        return {"tof_s": self.tof, "peak_correlation": self.peak_correlation,
-                "session_id": self.session_id}
-
 
 @dataclass(frozen=True)
 class DensityEstimate:
     """Density ratio rho_new/rho_ref inferred from a ToF pair.
 
     Assumes fixed bulk modulus and fixed acoustic path length across the
-    two sessions; both assumptions are surfaced in :meth:`to_dict`.
+    two sessions.
     """
 
     ratio: float
@@ -149,10 +141,6 @@ class DensityEstimate:
     def __post_init__(self):
         if self.ratio <= 0:
             raise DomainError("density ratio must be positive")
-
-    def to_dict(self):
-        return {"ratio": self.ratio, "fractional_change": self.fractional_change,
-                "assumes_fixed_bulk_modulus": True, "assumes_fixed_path": True}
 
 
 def wave_field(pulse: PulseSpec, x, r, t):

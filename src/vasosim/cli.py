@@ -24,7 +24,6 @@ from .errors import (
     LowConfidenceError,
     ProviderError,
     SimulationError,
-    SolverNotFoundError,
     VasosimError,
 )
 from .hemogrid import ArteryModel, Grid
@@ -128,8 +127,8 @@ def load_config(path=None, overrides=None):
         fs = get("pulse", "fs", float, 8 * omega / (2 * np.pi))
         duration = get("pulse", "duration", float,
                        2.4 * grid.nx * grid.dx / c)
-        solver_name = get("solver", "name", str, "gauss-descent")
-        if solver_name not in inversion.solver_names():
+        solver_name = get("solver", "name", str, inversion.SOLVER_NAME)
+        if solver_name != inversion.SOLVER_NAME:
             raise ConfigurationError(f"unknown solver {solver_name!r}")
         solver_options = inversion.SolverOptions(
             max_iter=get("solver", "max_iter", int, 500),
@@ -245,17 +244,21 @@ def cmd_echo(cfg: RunConfig, radii_path, out_dir, column=-1):
     return echo_path
 
 
-def cmd_invert(cfg: RunConfig, echo_path, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    observed = acoustics.read_echo_csv(echo_path)
+def _invert(cfg: RunConfig, observed, path):
+    """Recover the radii behind ``observed`` and write them to ``path``."""
     problem = inversion.InverseProblem(
         observed=observed, pulse=cfg.pulse, grid=cfg.grid, model=cfg.model,
         lam=cfg.lam)
     solver = inversion.get_solver(cfg.solver_name)
     solution = solver(problem, cfg.solver_options)
-    path = os.path.join(out_dir, "solution.json")
     _write_json(path, solution.to_dict())
-    return path, solution
+    return solution
+
+
+def cmd_invert(cfg: RunConfig, echo_path, out_dir):
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "solution.json")
+    return path, _invert(cfg, acoustics.read_echo_csv(echo_path), path)
 
 
 def _report_from_solution(cfg, solution_dict, session_id="cli", timestamp=0.0,
@@ -269,6 +272,18 @@ def _report_from_solution(cfg, solution_dict, session_id="cli", timestamp=0.0,
         residual_norm=float(solution_dict.get("residual_norm", 0.0)),
         converged=bool(solution_dict.get("converged", True)),
     )
+
+
+def _assess(cfg: RunConfig, report, provider, sink):
+    """Likelihood curve, time to episode and alert for one report; the
+    alert goes to ``sink`` unless its severity is "info"."""
+    curve = risk.likelihood_curve(report, provider, cfg.horizon)
+    tte = risk.compute_tte(curve, cfg.step_seconds)
+    payload = risk.dispatch_alert(
+        tte, curve.prob_now, cfg.policy, sink,
+        session_id=report.session_id, timestamp=report.timestamp,
+        recommendation=getattr(provider, "last_recommendation", None))
+    return tte, curve, payload
 
 
 def cmd_assess(cfg: RunConfig, input_path, out_dir, provider=None, sink=None):
@@ -289,17 +304,12 @@ def cmd_assess(cfg: RunConfig, input_path, out_dir, provider=None, sink=None):
         )
     if provider is None:
         provider = _make_provider(cfg)
-    curve = risk.likelihood_curve(report, provider, cfg.horizon)
-    tte = risk.compute_tte(curve, cfg.step_seconds)
+    tte, curve, payload = _assess(cfg, report, provider, sink)
     with open(os.path.join(out_dir, "probs.csv"), "w") as fh:
         fh.write("step,prob\n")
         fh.write(f"0,{curve.prob_now!r}\n")
         for i, p in enumerate(curve.probs, start=1):
             fh.write(f"{i},{p!r}\n")
-    payload = risk.dispatch_alert(
-        tte, curve.prob_now, cfg.policy, sink,
-        session_id=report.session_id, timestamp=report.timestamp,
-        recommendation=getattr(provider, "last_recommendation", None))
     _write_json(os.path.join(out_dir, "tte.json"),
                 {**tte.to_dict(), "prob_now": curve.prob_now,
                  "alert": payload.to_dict()})
@@ -332,13 +342,8 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
     tof_ref = None
     results = []
     for sess in sessions:
-        problem = inversion.InverseProblem(
-            observed=sess.echo, pulse=spec.pulse, grid=spec.grid,
-            model=spec.model, lam=cfg.lam)
-        solver = inversion.get_solver(cfg.solver_name)
-        solution = solver(problem, cfg.solver_options)
         sol_path = os.path.join(out_dir, f"solution_{sess.session_index:04d}.json")
-        _write_json(sol_path, solution.to_dict())
+        solution = _invert(cfg, sess.echo, sol_path)
 
         try:
             tof = acoustics.estimate_tof(incident, sess.echo)
@@ -353,17 +358,11 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
         else:
             density = 0.0
 
-        timestamp = sess.session_index * cfg.step_seconds
         report = _report_from_solution(
             cfg, solution.to_dict(), session_id=sess.echo.session_id,
-            timestamp=timestamp, density_fractional_change=density,
-            tof=tof_s)
-        curve = risk.likelihood_curve(report, provider, cfg.horizon)
-        tte = risk.compute_tte(curve, cfg.step_seconds)
-        payload = risk.dispatch_alert(
-            tte, curve.prob_now, cfg.policy, sink,
-            session_id=report.session_id, timestamp=timestamp,
-            recommendation=getattr(provider, "last_recommendation", None))
+            timestamp=sess.session_index * cfg.step_seconds,
+            density_fractional_change=density, tof=tof_s)
+        tte, curve, payload = _assess(cfg, report, provider, sink)
         results.append({
             "session": sess.session_index,
             "label_v": sess.label_v,
@@ -460,7 +459,12 @@ def main(argv=None):
         elif args.command == "gen-data":
             cmd_gen_data(cfg, args.out)
         elif args.command == "pipeline":
-            cmd_pipeline(cfg, args.out)
+            _, results = cmd_pipeline(cfg, args.out)
+            for rec in results:
+                if not rec["converged"]:
+                    print(f"session {rec['session']}: inversion did not "
+                          f"converge in {rec['iterations']} iterations",
+                          file=sys.stderr)
     except SimulationError as exc:
         print(f"simulation failed at step {exc.step_index}: {exc}",
               file=sys.stderr)
@@ -468,8 +472,8 @@ def main(argv=None):
     except ProviderError as exc:
         print(f"provider failure: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (ConfigurationError, SolverNotFoundError, DomainError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigurationError, DomainError, FileNotFoundError,
+            json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

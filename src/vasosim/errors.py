@@ -65,12 +65,8 @@ class DispatchError(VasosimError):
     """An alert sink write failed."""
 
 
-class RegistrationError(VasosimError):
-    """Duplicate name in a component registry."""
-
-
 class SolverNotFoundError(VasosimError, KeyError):
-    """Requested solver name is not registered."""
+    """Requested solver name is not the one the package ships."""
 
 
 class CorruptionError(VasosimError):

@@ -77,10 +77,6 @@ class Grid:
             )
 
     @property
-    def length(self):
-        return self.nx * self.dx
-
-    @property
     def x(self):
         """Cell-center coordinates."""
         return (np.arange(self.nx) + 0.5) * self.dx
@@ -165,9 +161,6 @@ class FlowState:
             pressure=pressure,
             time_index=time_index,
         )
-
-    def radii(self):
-        return radius_from_area(self.area)
 
 
 def area_from_radius(r):

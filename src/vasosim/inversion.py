@@ -9,8 +9,7 @@ where F(r) = w(r) @ B is the single-scattering echo forward map of
 :mod:`vasosim.acoustics` and L the interior second-difference operator.
 Each problem builds the burst matrix B once; the gradient is exact, the
 adjoint (dw/dr)^T B (F(r) - y) plus the penalty term, at the cost of one
-forward evaluation. A solver registry lets a learned surrogate replace the
-optimizer behind the same call signature.
+forward evaluation.
 """
 from __future__ import annotations
 
@@ -27,12 +26,7 @@ from .acoustics import (
     reflectivity_adjoint,
     synthesize_echo,  # not called here; perfbench/spans.py wraps this name
 )
-from .errors import (
-    DomainError,
-    NumericalError,
-    RegistrationError,
-    SolverNotFoundError,
-)
+from .errors import DomainError, NumericalError, SolverNotFoundError
 from .hemogrid import ArteryModel, Grid
 
 __all__ = [
@@ -42,9 +36,8 @@ __all__ = [
     "objective",
     "gradient",
     "invert_radii",
-    "register_solver",
+    "SOLVER_NAME",
     "get_solver",
-    "solver_names",
     "second_difference_matrix",
 ]
 
@@ -95,17 +88,18 @@ class SolverOptions:
     grad_tol: float = 1e-8   # relative to the initial gradient norm
     step_tol: float = 1e-12  # relative step size ||dr||/||r||
     fd_step: float = 1e-6    # relative step of central_gradient only
-    ls_shrink: float = 0.5
-    ls_c1: float = 1e-4
-    obj_floor: float = 1e-20
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
         if self.grad_tol <= 0 or self.step_tol <= 0 or self.fd_step <= 0:
             raise DomainError("tolerances must be positive")
-        if not (0 < self.ls_shrink < 1):
-            raise DomainError("line-search shrink factor must be in (0, 1)")
+
+
+# backtracking line search: step shrink factor and Armijo constant
+LS_SHRINK = 0.5
+LS_C1 = 1e-4
+OBJ_FLOOR = 1e-20  # an objective at or below this counts as an exact fit
 
 
 @dataclass(frozen=True)
@@ -222,7 +216,7 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
         return float(np.linalg.norm(problem.forward(radii)
                                     - problem.observed.samples))
 
-    if f <= options.obj_floor or g_norm0 == 0.0:
+    if f <= OBJ_FLOOR or g_norm0 == 0.0:
         return InverseSolution(radii=x, residual_norm=residual_norm(x),
                                objective_value=f, iterations=0, converged=True,
                                gradient_norm_final=g_norm0)
@@ -241,10 +235,10 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
                 break
             f_new = objective(x_new, problem)
             # Armijo sufficient decrease on the projected step
-            if f_new <= f + options.ls_c1 * float(g @ step):
+            if f_new <= f + LS_C1 * float(g @ step):
                 accepted = True
                 break
-            t_try *= options.ls_shrink
+            t_try *= LS_SHRINK
         if not accepted:
             break
         step_rel = float(np.linalg.norm(step)) / max(float(np.linalg.norm(x)), 1e-300)
@@ -252,10 +246,10 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
         # Barzilai-Borwein spectral step seeds the next line search
         dg = g_new - g
         sg = float(step @ dg)
-        t = float(step @ step) / sg if sg > 0 else t_try / options.ls_shrink
+        t = float(step @ step) / sg if sg > 0 else t_try / LS_SHRINK
         x, f, g = x_new, f_new, g_new
         g_norm = float(np.linalg.norm(g))
-        if g_norm <= options.grad_tol * g_norm0 or f <= options.obj_floor:
+        if g_norm <= options.grad_tol * g_norm0 or f <= OBJ_FLOOR:
             converged = True
             break
         if step_rel < options.step_tol:
@@ -266,56 +260,14 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
                            converged=converged, gradient_norm_final=g_norm)
 
 
-def check_solver_conformance(solver, problem: InverseProblem,
-                             options: SolverOptions | None = None):
-    """Verify a solver implementation honors the interface contract.
-
-    Checks output type, radii shape, bound feasibility, the iteration cap
-    and determinism across two identical calls. Raises DomainError on the
-    first violation; returns the solution on success.
-    """
-    if options is None:
-        options = SolverOptions()
-    sol = solver(problem, options)
-    if not isinstance(sol, InverseSolution):
-        raise DomainError("solver must return an InverseSolution")
-    radii = np.asarray(sol.radii, dtype=float)
-    if radii.shape != (problem.grid.nx,):
-        raise DomainError("solution radii shape must equal grid.nx")
-    r_min, r_max = problem.bounds
-    if np.any(radii < r_min) or np.any(radii > r_max):
-        raise DomainError("solution radii violate bounds")
-    if sol.iterations > options.max_iter:
-        raise DomainError("iterations exceed max_iter")
-    sol2 = solver(problem, options)
-    if not np.array_equal(np.asarray(sol2.radii), radii):
-        raise DomainError("solver is not deterministic")
-    return sol
-
-
-# ---------------------------------------------------------------------------
-# solver registry
-
-_REGISTRY: dict[str, object] = {}
-
-
-def register_solver(name, solver):
-    """Register a named solver callable (problem, options) -> InverseSolution."""
-    if name in _REGISTRY:
-        raise RegistrationError(f"solver {name!r} already registered")
-    _REGISTRY[name] = solver
-    return name
+SOLVER_NAME = "gauss-descent"
 
 
 def get_solver(name):
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise SolverNotFoundError(name) from None
+    """The solver callable (problem, options) -> InverseSolution for ``name``.
 
-
-def solver_names():
-    return sorted(_REGISTRY)
-
-
-register_solver("gauss-descent", invert_radii)
+    ``perfbench/spans.py`` wraps this lookup to time each solve.
+    """
+    if name != SOLVER_NAME:
+        raise SolverNotFoundError(name)
+    return invert_radii

@@ -37,7 +37,6 @@ __all__ = [
     "TTEResult",
     "AlertPolicy",
     "AlertPayload",
-    "classify_now",
     "likelihood_curve",
     "compute_tte",
     "logistic_provider",
@@ -157,17 +156,6 @@ def _validate_probability(value, source):
     return min(max(p, 0.0), 1.0)
 
 
-def classify_now(report: BiophysicsReport, provider):
-    """Pr(V = 1 | t = 0, data) from the given provider."""
-    try:
-        value = provider(report, 0)
-    except ProviderError:
-        raise
-    except Exception as exc:
-        raise ProviderError(f"provider failed: {exc}") from exc
-    return _validate_probability(value, "provider")
-
-
 def likelihood_curve(report: BiophysicsReport, provider, horizon):
     """Query the provider for every step 0..H and assemble the curve."""
     if horizon < 1:
@@ -176,7 +164,7 @@ def likelihood_curve(report: BiophysicsReport, provider, horizon):
     for i in range(horizon + 1):
         try:
             values.append(_validate_probability(provider(report, i), "provider"))
-        except (ProviderError, ProtocolError) as exc:
+        except ProviderError as exc:
             raise CurveError(f"provider failed at step {i}: {exc}", step=i) from exc
     return EpisodeLikelihood(probs=np.array(values[1:]), prob_now=values[0],
                              horizon=horizon)

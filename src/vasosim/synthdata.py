@@ -216,20 +216,6 @@ def _spec_to_json(spec: ScenarioSpec):
     }
 
 
-def spec_from_json(d):
-    return ScenarioSpec(
-        kind=d["kind"], severity=d["severity"],
-        stenosis_center=d["stenosis_center"],
-        stenosis_width=d["stenosis_width"], noise_rms=d["noise_rms"],
-        seed=d["seed"], sessions=d["sessions"], fs=d["fs"],
-        duration=d["duration"], horizon=d["horizon"],
-        occlusion_threshold=d["occlusion_threshold"],
-        perturbation_pa=d["perturbation_pa"],
-        grid=Grid(**d["grid"]), model=ArteryModel(**d["model"]),
-        pulse=PulseSpec(**d["pulse"]),
-    )
-
-
 def write_dataset(sessions, path, spec: ScenarioSpec):
     """Write sessions + manifest under ``path``; returns the manifest dict.
 

@@ -146,7 +146,7 @@ class TestAcceptance:
             grid=grid, model=model, lam=lam)
 
     def test_07_gradient_check(self, model, pulse):
-        with criterion(7, "forward vs central finite-difference gradient"):
+        with criterion(7, "adjoint vs central finite-difference gradient"):
             start = time.perf_counter()
             rng = np.random.default_rng(0)
             options = inv.SolverOptions(fd_step=3e-8)

@@ -335,6 +335,30 @@ class TestGenDataAndPipeline:
             assert rec["converged"] == sol["converged"]
             assert rec["iterations"] == sol["iterations"]
 
+    def test_non_converged_sessions_reported(self, small_config, tmp_path,
+                                             capsys):
+        out = tmp_path / "run"
+        # results.json records the outcome, so the exit code stays 0
+        assert cli.main(["--config", small_config, "--out", str(out),
+                         "pipeline"]) == 0
+        results = json.loads((out / "results.json").read_text())
+        expected = [f"session {rec['session']}: inversion did not converge "
+                    f"in {rec['iterations']} iterations"
+                    for rec in results if not rec["converged"]]
+        assert expected  # max_iter = 5 stops every session early
+        assert capsys.readouterr().err.splitlines() == expected
+
+    def test_invert_matches_pipeline_solution(self, small_config, tmp_path):
+        cfg = cli.load_config(small_config)
+        run = tmp_path / "run"
+        _, results = cli.cmd_pipeline(cfg, str(run))
+        for rec in results:
+            echo = run / "dataset" / f"session_{rec['session']:04d}_echo.csv"
+            path, _ = cli.cmd_invert(cfg, str(echo),
+                                     str(tmp_path / f"inv{rec['session']}"))
+            with open(path, "rb") as fh:
+                assert fh.read() == (run / rec["solution_file"]).read_bytes()
+
     def test_pipeline_deterministic(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

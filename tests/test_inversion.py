@@ -4,7 +4,7 @@ import pytest
 from conftest import make_grid, stenotic_column
 from vasosim import acoustics as ac
 from vasosim import inversion as inv
-from vasosim.errors import DomainError, RegistrationError, SolverNotFoundError
+from vasosim.errors import DomainError, SolverNotFoundError
 
 FS = 8e5
 
@@ -78,7 +78,7 @@ class TestGradient:
         # and with it the exact gradient vanish here
         assert np.linalg.norm(g) < 1e-5 * np.linalg.norm(g_prior)
 
-    def test_forward_vs_central_random_problems(self, model, pulse):
+    def test_adjoint_vs_central_random_problems(self, model, pulse):
         rng = np.random.default_rng(0)
         options = inv.SolverOptions(fd_step=3e-8)
         for _ in range(20):
@@ -176,46 +176,15 @@ class TestRegistry:
     def test_reference_registered(self):
         assert inv.get_solver("gauss-descent") is inv.invert_radii
 
-    def test_duplicate_rejected(self):
-        with pytest.raises(RegistrationError):
-            inv.register_solver("gauss-descent", inv.invert_radii)
-
     def test_unknown_name(self):
         with pytest.raises(SolverNotFoundError):
             inv.get_solver("no-such-solver")
-
-    def test_mock_solver_conformance(self, model, pulse):
-        truth = stenotic_column(model, 16, 8, 2.0, 0.2)
-        problem = make_problem(model, pulse, truth)
-
-        def prior_solver(problem, options):
-            return inv.InverseSolution(
-                radii=problem.prior.copy(), residual_norm=0.0,
-                objective_value=0.0, iterations=0, converged=True,
-                gradient_norm_final=0.0)
-
-        sol = inv.check_solver_conformance(prior_solver, problem)
-        assert np.array_equal(sol.radii, problem.prior)
-
-    def test_nonconforming_solver_rejected(self, model, pulse):
-        truth = stenotic_column(model, 16, 8, 2.0, 0.2)
-        problem = make_problem(model, pulse, truth)
-
-        def bad_solver(problem, options):
-            return inv.InverseSolution(
-                radii=np.full(problem.grid.nx, 1e3), residual_norm=0.0,
-                objective_value=0.0, iterations=0, converged=True,
-                gradient_norm_final=0.0)
-
-        with pytest.raises(DomainError):
-            inv.check_solver_conformance(bad_solver, problem)
 
 
 class TestSolverOptions:
     @pytest.mark.parametrize("kwargs", [
         dict(max_iter=0),
         dict(grad_tol=0.0),
-        dict(ls_shrink=1.5),
     ])
     def test_invalid_options(self, kwargs):
         with pytest.raises(DomainError):

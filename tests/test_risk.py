@@ -68,37 +68,39 @@ class TestLogisticProvider:
             risk.logistic_provider((1.0, 2.0, math.nan), 0.0)
 
 
-class TestClassifyNow:
+class TestProbabilityValidation:
+    """Each provider answer passes the wire contract's probability check."""
+
     def test_uses_step_zero(self):
         seen = []
 
         def provider(report, step):
             seen.append(step)
-            return 0.25
+            return 0.25 if step == 0 else 0.5
 
-        assert risk.classify_now(make_report(), provider) == 0.25
-        assert seen == [0]
+        curve = risk.likelihood_curve(make_report(), provider, horizon=1)
+        assert curve.prob_now == 0.25
+        assert seen == [0, 1]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ProtocolError):
-            risk.classify_now(make_report(), lambda r, i: 1.2)
+        with pytest.raises(CurveError) as info:
+            risk.likelihood_curve(make_report(), lambda r, i: 1.2, horizon=1)
+        assert isinstance(info.value.__cause__, ProtocolError)
 
     def test_small_overshoot_clamped(self):
-        assert risk.classify_now(make_report(), lambda r, i: 1.005) == 1.0
-        assert risk.classify_now(make_report(), lambda r, i: -0.005) == 0.0
+        high = risk.likelihood_curve(make_report(), lambda r, i: 1.005,
+                                     horizon=1)
+        low = risk.likelihood_curve(make_report(), lambda r, i: -0.005,
+                                    horizon=1)
+        assert high.prob_now == 1.0 and list(high.probs) == [1.0]
+        assert low.prob_now == 0.0 and list(low.probs) == [0.0]
 
     def test_non_numeric_rejected(self):
-        with pytest.raises(ProtocolError):
-            risk.classify_now(make_report(), lambda r, i: "high")
-        with pytest.raises(ProtocolError):
-            risk.classify_now(make_report(), lambda r, i: True)
-
-    def test_provider_crash_wrapped(self):
-        def provider(report, step):
-            raise RuntimeError("boom")
-
-        with pytest.raises(ProviderError):
-            risk.classify_now(make_report(), provider)
+        for value in ("high", True):
+            with pytest.raises(CurveError) as info:
+                risk.likelihood_curve(make_report(), lambda r, i: value,
+                                      horizon=1)
+            assert isinstance(info.value.__cause__, ProtocolError)
 
 
 class TestLikelihoodCurve:

@@ -138,10 +138,6 @@ class TestDatasetIO:
             assert orig.label_v == back.label_v
             assert np.array_equal(orig.future_labels, back.future_labels)
 
-    def test_spec_round_trip(self, model, pulse, tmp_path):
-        spec, _, manifest = self.make_dataset(model, pulse, tmp_path)
-        assert synthdata.spec_from_json(manifest["spec"]) == spec
-
     def test_manifest_checksums_cover_all_files(self, model, pulse, tmp_path):
         _, sessions, manifest = self.make_dataset(model, pulse, tmp_path)
         assert manifest["format_version"] == synthdata.FORMAT_VERSION
