@@ -186,7 +186,7 @@ def wave_equation_residual(pulse: PulseSpec, x_range, r_range, t_range, steps):
     return float(residual / (np.max(np.abs(P)) * k2))
 
 
-def reflection_coefficient(d_left, d_right, model: ArteryModel):
+def reflection_coefficient(d_left, d_right):
     """Amplitude reflection at an area discontinuity.
 
     Characteristic impedance Z = rho*c/D, so
@@ -244,21 +244,21 @@ def burst_matrix(pulse: PulseSpec, grid: Grid, fs, duration, n_cycles=5):
     return _windowed_harmonic(pulse, t[None, :] - delays[:, None], n_cycles)
 
 
-def _gammas_and_loss(radii, model):
+def _gammas_and_loss(radii):
     areas = np.pi * np.asarray(radii, dtype=float)**2
-    gammas = np.atleast_1d(reflection_coefficient(areas[:-1], areas[1:], model))
+    gammas = np.atleast_1d(reflection_coefficient(areas[:-1], areas[1:]))
     # two-way transmission loss accumulated over interfaces closer to the probe
     loss = np.concatenate(([1.0], np.cumprod(1.0 - gammas**2)[:-1]))
     return gammas, loss
 
 
-def reflectivity(radii_column, model: ArteryModel):
+def reflectivity(radii_column):
     """Interface weights w_i = Gamma_i * prod_{m<i}(1 - Gamma_m^2)."""
-    gammas, loss = _gammas_and_loss(radii_column, model)
+    gammas, loss = _gammas_and_loss(radii_column)
     return gammas * loss
 
 
-def reflectivity_adjoint(radii_column, model: ArteryModel, v):
+def reflectivity_adjoint(radii_column, v):
     """(dw/dr)^T v for the weights w of :func:`reflectivity`, in O(nx).
 
     dw/dGamma is lower-triangular:
@@ -268,7 +268,7 @@ def reflectivity_adjoint(radii_column, model: ArteryModel, v):
     dGamma_i/dr_{i+1} = -4 r_i^2 r_{i+1}/s^2.
     """
     r = np.asarray(radii_column, dtype=float)
-    gammas, loss = _gammas_and_loss(r, model)
+    gammas, loss = _gammas_and_loss(r)
     wv = gammas * loss * v
     beyond = np.concatenate((np.cumsum(wv[::-1])[::-1][1:], [0.0]))
     u = loss * v - 2 * gammas / (1 - gammas**2) * beyond
@@ -288,13 +288,14 @@ def synthesize_echo(radii_column, pulse: PulseSpec, grid: Grid,
     Each interface between cells i and i+1 contributes a copy of the
     incident burst delayed by the round trip 2*x_i/c and scaled by
     Gamma_i times the accumulated two-way transmission loss
-    prod_{m<i}(1 - Gamma_m^2).
+    prod_{m<i}(1 - Gamma_m^2). ``model`` is not read: Gamma depends only
+    on the area ratios.
     """
     radii = np.asarray(radii_column, dtype=float)
     if radii.shape != (grid.nx,):
         raise DomainError("radii column length must equal grid.nx")
     bursts = burst_matrix(pulse, grid, fs, duration, n_cycles)
-    weights = reflectivity(radii, model)
+    weights = reflectivity(radii)
     if not np.any(weights):
         return EchoTrace(samples=np.zeros(bursts.shape[1]), fs=fs,
                          session_id=session_id)

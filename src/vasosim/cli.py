@@ -180,6 +180,10 @@ def load_config(path=None, overrides=None):
             raise ConfigurationError("llm provider requires an endpoint")
         if cfg.bc not in ("periodic", "inlet"):
             raise ConfigurationError(f"unknown boundary condition {cfg.bc!r}")
+        if cfg.bc == "periodic" and cfg.inlet_amplitude != 0.0:
+            raise ConfigurationError(
+                "[simulate] inlet_amplitude needs bc = inlet; periodic ends "
+                "have no inlet")
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc
     return cfg

@@ -136,7 +136,6 @@ class FlowState:
     area: np.ndarray
     velocity: np.ndarray
     pressure: np.ndarray
-    time_index: int = 0
 
     def __post_init__(self):
         self.area = np.asarray(self.area, dtype=float)
@@ -146,21 +145,6 @@ class FlowState:
             raise DomainError("area, velocity and pressure must share a shape")
         if not np.all(self.area > 0):
             raise DomainError("area values must be positive")
-
-    @classmethod
-    def from_radii_column(cls, radii, model: ArteryModel, time_index=0):
-        """Build a resting state whose area is pi*r^2 of the given column."""
-        radii = np.asarray(radii, dtype=float)
-        if not np.all(radii > 0):
-            raise DomainError("radii must be positive")
-        area = np.pi * radii**2
-        pressure = tube_law(area, model)
-        return cls(
-            area=area,
-            velocity=np.zeros_like(area),
-            pressure=pressure,
-            time_index=time_index,
-        )
 
 
 def area_from_radius(r):
@@ -180,35 +164,36 @@ def radius_from_area(d):
     return float(out) if out.ndim == 0 else out
 
 
-def tube_law(d, model: ArteryModel):
-    """Linear-elastic wall closure p = p_ext + beta*(sqrt(D) - sqrt(D0))."""
+def tube_law(d, model: ArteryModel, sqrt_d_rest=None):
+    """Linear-elastic wall closure p = p_ext + beta*(sqrt(D) - sqrt(D_rest)).
+
+    ``sqrt_d_rest`` is the root of the rest area, a scalar or one value per
+    cell; it defaults to sqrt(D0) of the uniform baseline lumen.
+    """
     d = np.asarray(d, dtype=float)
     if not np.all(d > 0):
         raise DomainError("area must be positive")
-    out = model.p_ext + model.beta * (np.sqrt(d) - math.sqrt(model.d0))
+    if sqrt_d_rest is None:
+        sqrt_d_rest = math.sqrt(model.d0)
+    out = model.p_ext + model.beta * (np.sqrt(d) - sqrt_d_rest)
     return float(out) if out.ndim == 0 else out
 
 
-def _interface_flux(d, u, bc):
-    """Upwind flux of F = u*D at the nx+1 cell interfaces."""
+def _ghost(a, bc):
+    """``a`` with one ghost cell at each end: wrapped round for
+    ``bc == "periodic"``, otherwise a copy of the edge cell (zero gradient)."""
     if bc == "periodic":
-        dl = d
-        dr = np.roll(d, -1)
-        uh = 0.5 * (u + np.roll(u, -1))
-        flux = np.where(uh >= 0, uh * dl, uh * dr)
-        return np.concatenate(([flux[-1]], flux))
-    # fixed ends: zero-gradient ghost cells
-    dg = np.concatenate(([d[0]], d, [d[-1]]))
-    ug = np.concatenate(([u[0]], u, [u[-1]]))
-    uh = 0.5 * (ug[:-1] + ug[1:])
-    return np.where(uh >= 0, uh * dg[:-1], uh * dg[1:])
+        return np.concatenate((a[-1:], a, a[:1]))
+    return np.concatenate((a[:1], a, a[-1:]))
 
 
 def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
     """Advance the area field one conservative upwind step.
 
-    With periodic boundaries the discrete total volume sum(D)*dx is
-    conserved to rounding because the update is in flux-difference form.
+    ``bc`` is ``"periodic"`` or ``"fixed"`` (zero-gradient ends), applied
+    as ghost cells. With periodic boundaries the discrete total volume
+    sum(D)*dx is conserved to rounding because the update is in
+    flux-difference form.
     """
     d, u = state.area, state.velocity
     if d.shape != (grid.nx,):
@@ -216,27 +201,13 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
     courant = np.max(np.abs(u)) * grid.dt / grid.dx
     if courant > 1:
         raise StabilityError(f"continuity CFL violated: |u|dt/dx = {courant:.3g} > 1")
-    flux = _interface_flux(d, u, bc)
+    dg, ug = _ghost(d, bc), _ghost(u, bc)
+    # upwind flux of F = u*D at the nx+1 cell interfaces
+    uh = 0.5 * (ug[:-1] + ug[1:])
+    flux = np.where(uh >= 0, uh * dg[:-1], uh * dg[1:])
     d_new = d - (grid.dt / grid.dx) * (flux[1:] - flux[:-1])
-    return FlowState(
-        area=d_new,
-        velocity=u.copy(),
-        pressure=state.pressure.copy(),
-        time_index=state.time_index + 1,
-    )
-
-
-def _shift(a, k, bc):
-    if bc == "periodic":
-        return np.roll(a, -k)
-    out = np.empty_like(a)
-    if k == 1:
-        out[:-1] = a[1:]
-        out[-1] = a[-1]
-    else:
-        out[1:] = a[:-1]
-        out[0] = a[0]
-    return out
+    return FlowState(area=d_new, velocity=u.copy(),
+                     pressure=state.pressure.copy())
 
 
 def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
@@ -245,7 +216,8 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
     balance, with upwind advection and central pressure/diffusion stencils.
 
     Fields are treated in nondimensional form; the factor Re/alpha^2
-    multiplies the whole right-hand side.
+    multiplies the whole right-hand side. ``bc`` is ``"periodic"`` or
+    ``"fixed"``, applied as ghost cells as in :func:`step_continuity`.
     """
     u, p = state.velocity, state.pressure
     if u.shape != (grid.nx,):
@@ -263,24 +235,17 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
             f"momentum advective Courant number {adv_courant:.3g} exceeds 1"
         )
 
-    u_p = _shift(u, 1, bc)
-    u_m = _shift(u, -1, bc)
-    p_p = _shift(p, 1, bc)
-    p_m = _shift(p, -1, bc)
+    ug, pg = _ghost(u, bc), _ghost(p, bc)
+    u_p, u_m = ug[2:], ug[:-2]
 
-    dpdx = (p_p - p_m) / (2 * grid.dx)
+    dpdx = (pg[2:] - pg[:-2]) / (2 * grid.dx)
     d2u = (u_p - 2 * u + u_m) / grid.dx**2
     rhs = -dpdx + (1.0 / model.re) * d2u
     if nonlinear:
         dudx_up = np.where(u >= 0, (u - u_m) / grid.dx, (u_p - u) / grid.dx)
         rhs = rhs - u * dudx_up
     u_new = u + grid.dt * scale * rhs
-    return FlowState(
-        area=state.area.copy(),
-        velocity=u_new,
-        pressure=p.copy(),
-        time_index=state.time_index + 1,
-    )
+    return FlowState(area=state.area.copy(), velocity=u_new, pressure=p.copy())
 
 
 def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
@@ -289,7 +254,7 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
 
     Parameters
     ----------
-    inlet : callable t -> Pa, array of length nt, or None
+    inlet : array of length nt, or None
         Gauge pressure imposed at x=0 (added to p_ext) when
         ``bc == "inlet"``. Ignored for periodic runs.
     bc : "periodic" or "inlet"
@@ -302,30 +267,26 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
     (RadiiField, list[FlowState])
         Radii history with column j the state after j steps, and the
         per-step flow states (the list has nt entries, index 0 initial).
+        No state is written to after it is recorded.
     """
     if bc not in ("periodic", "inlet"):
         raise DomainError(f"unknown boundary condition {bc!r}")
     if initial_radii is None:
         initial_radii = np.full(grid.nx, model.r0)
     initial_radii = np.asarray(initial_radii, dtype=float)
+    if not np.all(initial_radii > 0):
+        raise DomainError("radii must be positive")
     # the initial column doubles as the rest geometry of the wall closure,
     # so every initial state is an equilibrium under zero forcing
     sqrt_d_rest = np.sqrt(np.pi) * initial_radii
+    area = np.pi * initial_radii**2
+    state = FlowState(area=area, velocity=np.zeros_like(area),
+                      pressure=tube_law(area, model, sqrt_d_rest))
 
-    def closure(d):
-        return model.p_ext + model.beta * (np.sqrt(d) - sqrt_d_rest)
-
-    state = FlowState.from_radii_column(initial_radii, model)
-    state.pressure = closure(state.area)
-
-    if inlet is None:
-        waveform = np.zeros(grid.nt)
-    elif callable(inlet):
-        waveform = np.array([inlet(j * grid.dt) for j in range(grid.nt)], dtype=float)
-    else:
-        waveform = np.asarray(inlet, dtype=float)
-        if waveform.shape != (grid.nt,):
-            raise DomainError("inlet waveform length must equal nt")
+    waveform = (np.zeros(grid.nt) if inlet is None
+                else np.asarray(inlet, dtype=float))
+    if waveform.shape != (grid.nt,):
+        raise DomainError("inlet waveform length must equal nt")
 
     radii = np.empty((grid.nx, grid.nt))
     states = []
@@ -347,8 +308,7 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
                 and np.all(np.isfinite(state.velocity))):
             raise SimulationError(f"solver diverged at step {j}", step_index=j)
         radii[:, j] = radius_from_area(state.area)
-        states.append(FlowState(state.area.copy(), state.velocity.copy(),
-                                state.pressure.copy(), time_index=j))
+        states.append(state)
         if j == grid.nt - 1:
             break
         try:
@@ -357,8 +317,7 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
         except StabilityError as exc:
             raise SimulationError(f"solver unstable at step {j}: {exc}",
                                   step_index=j) from exc
-        state.pressure = closure(state.area)
-        state.time_index = j + 1
+        state.pressure = tube_law(state.area, model, sqrt_d_rest)
     return RadiiField(values=radii, grid=grid), states
 
 

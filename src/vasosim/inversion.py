@@ -79,7 +79,7 @@ class InverseProblem:
 
     def forward(self, radii):
         """Forward map F: radii column -> echo samples, w(r) @ B."""
-        return reflectivity(radii, self.model) @ self.bursts
+        return reflectivity(radii) @ self.bursts
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def gradient(radii, problem: InverseProblem, options: SolverOptions):
     _check_radii(radii, problem)
     residual = problem.forward(radii) - problem.observed.samples
     L = second_difference_matrix(problem.grid.nx)
-    g = reflectivity_adjoint(radii, problem.model, problem.bursts @ residual) \
+    g = reflectivity_adjoint(radii, problem.bursts @ residual) \
         + 2 * problem.lam * (L.T @ (L @ (radii - problem.prior)))
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite gradient")

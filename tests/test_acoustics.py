@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import make_grid
 from vasosim import acoustics as ac
-from vasosim import hemogrid as hg
 from vasosim.errors import (
     ConfigurationError,
     DomainError,
@@ -119,27 +118,26 @@ class TestWaveEquationResidual:
 
 
 class TestReflectionCoefficient:
-    def test_matched_areas(self, model):
-        assert ac.reflection_coefficient(1e-5, 1e-5, model) == 0.0
+    def test_matched_areas(self):
+        assert ac.reflection_coefficient(1e-5, 1e-5) == 0.0
 
-    def test_closed_end_limit(self, model):
-        assert ac.reflection_coefficient(1e-5, 1e-12, model) == pytest.approx(
+    def test_closed_end_limit(self):
+        assert ac.reflection_coefficient(1e-5, 1e-12) == pytest.approx(
             1.0, abs=1e-6)
 
-    def test_half_area(self, model):
+    def test_half_area(self):
         d = 1e-5
-        assert ac.reflection_coefficient(d, d / 2, model) == pytest.approx(
+        assert ac.reflection_coefficient(d, d / 2) == pytest.approx(
             1.0 / 3.0, rel=1e-12)
 
-    def test_domain_error(self, model):
+    def test_domain_error(self):
         with pytest.raises(DomainError):
-            ac.reflection_coefficient(-1e-5, 1e-5, model)
+            ac.reflection_coefficient(-1e-5, 1e-5)
 
     @given(st.floats(min_value=1e-8, max_value=1e-3),
            st.floats(min_value=1e-8, max_value=1e-3))
     def test_energy_bound(self, dl, dr):
-        model = hg.ArteryModel()
-        assert abs(ac.reflection_coefficient(dl, dr, model)) < 1.0
+        assert abs(ac.reflection_coefficient(dl, dr)) < 1.0
 
 
 class TestSynthesizeEcho:
@@ -160,8 +158,7 @@ class TestSynthesizeEcho:
         trace = ac.synthesize_echo(radii, pulse, g, model, fs=self.fs,
                                    duration=1e-4)
         gamma = ac.reflection_coefficient(np.pi * radii[i_star] ** 2,
-                                          np.pi * radii[i_star + 1] ** 2,
-                                          model)
+                                          np.pi * radii[i_star + 1] ** 2)
         peak = np.max(np.abs(trace.samples))
         assert peak == pytest.approx(pulse.amp_forward * gamma, rel=0.01)
         # arrival centered at 2x/c plus half the burst window

@@ -89,6 +89,17 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    def test_periodic_inlet_rejected(self, tmp_path):
+        # periodic ends have no inlet cell, so the waveform would be dropped
+        cfg_path = write_config(tmp_path / "p.ini", {
+            **SMALL,
+            "simulate": {"bc": "periodic", "inlet_amplitude": 300.0},
+        })
+        out = tmp_path / "out"
+        code = cli.main(["--config", cfg_path, "--out", str(out), "simulate"])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_input_file(self, small_config, tmp_path):
         code = cli.main(["--config", small_config,
                          "--out", str(tmp_path / "out"),

@@ -190,6 +190,78 @@ class TestMomentum:
             hg.step_momentum(st0, g, model)
 
 
+def _upwind_flux(u_l, u_r, d_l, d_r):
+    uh = 0.5 * (u_l + u_r)
+    return uh * d_l if uh >= 0 else uh * d_r
+
+
+class TestBoundaries:
+    """End cells against hand-written ghost-cell arithmetic: a fixed end
+    copies its edge cell into the ghost, a periodic end wraps round."""
+
+    DX, DT = 1.0, 0.01
+    AREA = np.array([1.0, 1.4, 0.8, 1.2, 0.9])
+    PRESSURE = np.array([0.5, -0.2, 0.3, 0.1, -0.4])
+    # both signs at each end exercise both upwind branches
+    VELOCITIES = [np.array([0.3, -0.2, 0.1, 0.4, -0.25]),
+                  np.array([-0.3, 0.2, -0.1, -0.4, 0.25])]
+
+    def _state(self, u):
+        return hg.FlowState(area=self.AREA.copy(), velocity=u.copy(),
+                            pressure=self.PRESSURE.copy())
+
+    def _grid(self):
+        return make_grid(self.AREA.size, dx=self.DX, dt=self.DT, s_max=1.0)
+
+    def _momentum_cell(self, model, u_m, u, u_p, p_m, p_p):
+        dudx = (u - u_m) / self.DX if u >= 0 else (u_p - u) / self.DX
+        rhs = (-(p_p - p_m) / (2 * self.DX)
+               + (u_p - 2 * u + u_m) / (model.re * self.DX**2) - u * dudx)
+        return u + self.DT * model.re / model.alpha**2 * rhs
+
+    @pytest.mark.parametrize("u", VELOCITIES)
+    def test_fixed_end_areas(self, u):
+        d = self.AREA
+        st1 = hg.step_continuity(self._state(u), self._grid(), bc="fixed")
+        left = d[0] - self.DT / self.DX * (
+            _upwind_flux(u[0], u[1], d[0], d[1]) - u[0] * d[0])
+        right = d[-1] - self.DT / self.DX * (
+            u[-1] * d[-1] - _upwind_flux(u[-2], u[-1], d[-2], d[-1]))
+        assert st1.area[0] == pytest.approx(left, rel=1e-14)
+        assert st1.area[-1] == pytest.approx(right, rel=1e-14)
+
+    @pytest.mark.parametrize("u", VELOCITIES)
+    def test_periodic_wrap_areas(self, u):
+        d = self.AREA
+        st1 = hg.step_continuity(self._state(u), self._grid(), bc="periodic")
+        wrap = _upwind_flux(u[-1], u[0], d[-1], d[0])
+        left = d[0] - self.DT / self.DX * (
+            _upwind_flux(u[0], u[1], d[0], d[1]) - wrap)
+        right = d[-1] - self.DT / self.DX * (
+            wrap - _upwind_flux(u[-2], u[-1], d[-2], d[-1]))
+        assert st1.area[0] == pytest.approx(left, rel=1e-14)
+        assert st1.area[-1] == pytest.approx(right, rel=1e-14)
+
+    @pytest.mark.parametrize("u", VELOCITIES)
+    def test_fixed_end_velocities(self, model, u):
+        p = self.PRESSURE
+        st1 = hg.step_momentum(self._state(u), self._grid(), model, bc="fixed")
+        left = self._momentum_cell(model, u[0], u[0], u[1], p[0], p[1])
+        right = self._momentum_cell(model, u[-2], u[-1], u[-1], p[-2], p[-1])
+        assert st1.velocity[0] == pytest.approx(left, rel=1e-14)
+        assert st1.velocity[-1] == pytest.approx(right, rel=1e-14)
+
+    @pytest.mark.parametrize("u", VELOCITIES)
+    def test_periodic_wrap_velocities(self, model, u):
+        p = self.PRESSURE
+        st1 = hg.step_momentum(self._state(u), self._grid(), model,
+                               bc="periodic")
+        left = self._momentum_cell(model, u[-1], u[0], u[1], p[-1], p[1])
+        right = self._momentum_cell(model, u[-2], u[-1], u[0], p[-2], p[0])
+        assert st1.velocity[0] == pytest.approx(left, rel=1e-14)
+        assert st1.velocity[-1] == pytest.approx(right, rel=1e-14)
+
+
 class TestSolveFlow:
     def test_equilibrium_fixed_point(self, model):
         g = make_grid(64, nt=200, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
@@ -224,6 +296,15 @@ class TestSolveFlow:
         for j, state in enumerate(states):
             expected = np.pi * radii.values[:, j] ** 2
             assert np.max(np.abs(state.area - expected) / expected) < 1e-12
+
+    def test_recorded_states_share_no_memory(self, model):
+        g = make_grid(32, nt=50, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
+        inlet = 10.0 * np.sin(np.linspace(0, 2 * np.pi, g.nt))
+        _, states = hg.solve_flow(model, g, inlet=inlet, bc="inlet")
+        assert len(states) == g.nt
+        for a, b in zip(states, states[1:]):
+            for name in ("area", "velocity", "pressure"):
+                assert not np.shares_memory(getattr(a, name), getattr(b, name))
 
     def test_determinism(self, model):
         g = make_grid(32, nt=200, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
