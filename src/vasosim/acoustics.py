@@ -196,8 +196,12 @@ def reflection_coefficient(d_left, d_right):
     d_right = np.asarray(d_right, dtype=float)
     if not (np.all(d_left > 0) and np.all(d_right > 0)):
         raise DomainError("areas must be positive")
-    out = (d_left - d_right) / (d_left + d_right)
+    out = _reflection(d_left, d_right)
     return float(out) if out.ndim == 0 else out
+
+
+def _reflection(d_left, d_right):
+    return (d_left - d_right) / (d_left + d_right)
 
 
 def _windowed_harmonic(pulse: PulseSpec, t, n_cycles):
@@ -244,17 +248,27 @@ def burst_matrix(pulse: PulseSpec, grid: Grid, fs, duration, n_cycles=5):
     return _windowed_harmonic(pulse, t[None, :] - delays[:, None], n_cycles)
 
 
-def _gammas_and_loss(radii):
-    areas = np.pi * np.asarray(radii, dtype=float)**2
-    gammas = np.atleast_1d(reflection_coefficient(areas[:-1], areas[1:]))
+def _interfaces(r):
+    """Gamma_i and the two-way loss prod_{m<i}(1 - Gamma_m^2) of a float
+    radii array, unchecked: the caller has established positive areas."""
+    areas = np.pi * r**2
+    gammas = _reflection(areas[:-1], areas[1:])
     # two-way transmission loss accumulated over interfaces closer to the probe
     loss = np.concatenate(([1.0], np.cumprod(1.0 - gammas**2)[:-1]))
     return gammas, loss
 
 
+def _positive_areas(radii_column):
+    """``radii_column`` as floats; DomainError unless every area is positive."""
+    r = np.asarray(radii_column, dtype=float)
+    if not np.all(np.pi * r**2 > 0):
+        raise DomainError("areas must be positive")
+    return r
+
+
 def reflectivity(radii_column):
     """Interface weights w_i = Gamma_i * prod_{m<i}(1 - Gamma_m^2)."""
-    gammas, loss = _gammas_and_loss(radii_column)
+    gammas, loss = _interfaces(_positive_areas(radii_column))
     return gammas * loss
 
 
@@ -267,8 +281,12 @@ def reflectivity_adjoint(radii_column, v):
     dGamma_i/dr_i = 4 r_i r_{i+1}^2/s^2 and
     dGamma_i/dr_{i+1} = -4 r_i^2 r_{i+1}/s^2.
     """
-    r = np.asarray(radii_column, dtype=float)
-    gammas, loss = _gammas_and_loss(r)
+    r = _positive_areas(radii_column)
+    return _adjoint(r, *_interfaces(r), v)
+
+
+def _adjoint(r, gammas, loss, v):
+    """:func:`reflectivity_adjoint` from the :func:`_interfaces` of r."""
     wv = gammas * loss * v
     beyond = np.concatenate((np.cumsum(wv[::-1])[::-1][1:], [0.0]))
     u = loss * v - 2 * gammas / (1 - gammas**2) * beyond

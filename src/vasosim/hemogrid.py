@@ -175,8 +175,12 @@ def tube_law(d, model: ArteryModel, sqrt_d_rest=None):
         raise DomainError("area must be positive")
     if sqrt_d_rest is None:
         sqrt_d_rest = math.sqrt(model.d0)
-    out = model.p_ext + model.beta * (np.sqrt(d) - sqrt_d_rest)
+    out = _tube_law(d, model, sqrt_d_rest)
     return float(out) if out.ndim == 0 else out
+
+
+def _tube_law(d, model, sqrt_d_rest):
+    return model.p_ext + model.beta * (np.sqrt(d) - sqrt_d_rest)
 
 
 def _ghost(a, bc):
@@ -198,6 +202,12 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
     d, u = state.area, state.velocity
     if d.shape != (grid.nx,):
         raise DomainError("state dimensions do not match grid")
+    return FlowState(area=_continuity(d, u, grid, bc), velocity=u.copy(),
+                     pressure=state.pressure.copy())
+
+
+def _continuity(d, u, grid, bc):
+    """Area after one step of :func:`step_continuity`, on bare arrays."""
     courant = np.max(np.abs(u)) * grid.dt / grid.dx
     if courant > 1:
         raise StabilityError(f"continuity CFL violated: |u|dt/dx = {courant:.3g} > 1")
@@ -205,9 +215,7 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
     # upwind flux of F = u*D at the nx+1 cell interfaces
     uh = 0.5 * (ug[:-1] + ug[1:])
     flux = np.where(uh >= 0, uh * dg[:-1], uh * dg[1:])
-    d_new = d - (grid.dt / grid.dx) * (flux[1:] - flux[:-1])
-    return FlowState(area=d_new, velocity=u.copy(),
-                     pressure=state.pressure.copy())
+    return d - (grid.dt / grid.dx) * (flux[1:] - flux[:-1])
 
 
 def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
@@ -222,6 +230,13 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
     u, p = state.velocity, state.pressure
     if u.shape != (grid.nx,):
         raise DomainError("state dimensions do not match grid")
+    return FlowState(area=state.area.copy(),
+                     velocity=_momentum(u, p, grid, model, bc, nonlinear),
+                     pressure=p.copy())
+
+
+def _momentum(u, p, grid, model, bc, nonlinear=True):
+    """Velocity after one step of :func:`step_momentum`, on bare arrays."""
     scale = model.re / model.alpha**2
     nu_eff = 1.0 / model.alpha**2  # (Re/alpha^2) * (1/Re)
     diff_number = nu_eff * grid.dt / grid.dx**2
@@ -244,8 +259,7 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
     if nonlinear:
         dudx_up = np.where(u >= 0, (u - u_m) / grid.dx, (u_p - u) / grid.dx)
         rhs = rhs - u * dudx_up
-    u_new = u + grid.dt * scale * rhs
-    return FlowState(area=state.area.copy(), velocity=u_new, pressure=p.copy())
+    return u + grid.dt * scale * rhs
 
 
 def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
@@ -280,8 +294,7 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
     # so every initial state is an equilibrium under zero forcing
     sqrt_d_rest = np.sqrt(np.pi) * initial_radii
     area = np.pi * initial_radii**2
-    state = FlowState(area=area, velocity=np.zeros_like(area),
-                      pressure=tube_law(area, model, sqrt_d_rest))
+    velocity = np.zeros_like(area)
 
     waveform = (np.zeros(grid.nt) if inlet is None
                 else np.asarray(inlet, dtype=float))
@@ -291,33 +304,37 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
     radii = np.empty((grid.nx, grid.nt))
     states = []
     step_bc = "periodic" if bc == "periodic" else "fixed"
+    # each step makes fresh arrays, so no recorded state is written to again
     for j in range(grid.nt):
         if bc == "inlet":
             # drive the inlet cell through the wall closure, zero-gradient outlet
-            state.pressure[0] = model.p_ext + waveform[j]
             root = sqrt_d_rest[0] + waveform[j] / model.beta
             if root <= 0:
                 raise SimulationError(
                     f"inlet pressure collapses the lumen at step {j}",
                     step_index=j)
-            state.area[0] = root * root
-            state.area[-1] = state.area[-2]
-            state.velocity[-1] = state.velocity[-2]
-            state.pressure[-1] = state.pressure[-2]
-        if not (np.all(np.isfinite(state.area)) and np.all(state.area > 0)
-                and np.all(np.isfinite(state.velocity))):
+            area[0] = root * root
+            area[-1] = area[-2]
+            velocity[-1] = velocity[-2]
+        # the step's one area check, which the tube law and the radii rely on
+        if not (np.all(np.isfinite(area)) and np.all(area > 0)
+                and np.all(np.isfinite(velocity))):
             raise SimulationError(f"solver diverged at step {j}", step_index=j)
-        radii[:, j] = radius_from_area(state.area)
-        states.append(state)
+        pressure = _tube_law(area, model, sqrt_d_rest)
+        if bc == "inlet":
+            pressure[0] = model.p_ext + waveform[j]
+            pressure[-1] = pressure[-2]
+        radii[:, j] = np.sqrt(area / np.pi)
+        states.append(FlowState(area=area, velocity=velocity,
+                                pressure=pressure))
         if j == grid.nt - 1:
             break
         try:
-            state = step_momentum(state, grid, model, bc=step_bc)
-            state = step_continuity(state, grid, bc=step_bc)
+            velocity = _momentum(velocity, pressure, grid, model, step_bc)
+            area = _continuity(area, velocity, grid, step_bc)
         except StabilityError as exc:
             raise SimulationError(f"solver unstable at step {j}: {exc}",
                                   step_index=j) from exc
-        state.pressure = tube_law(state.area, model, sqrt_d_rest)
     return RadiiField(values=radii, grid=grid), states
 
 

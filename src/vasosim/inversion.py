@@ -8,8 +8,11 @@ search on
 where F(r) = w(r) @ B is the single-scattering echo forward map of
 :mod:`vasosim.acoustics` and L the interior second-difference operator.
 Each problem builds the burst matrix B once; the gradient is exact, the
-adjoint (dw/dr)^T B (F(r) - y) plus the penalty term, at the cost of one
-forward evaluation.
+adjoint (dw/dr)^T B (F(r) - y) plus the penalty term. Each line-search
+trial makes one forward evaluation, which also yields the pieces that
+gradient needs, so the gradient at the accepted point costs no second
+forward evaluation. :func:`objective` and :func:`gradient` check their
+radii once and run that same evaluation.
 """
 from __future__ import annotations
 
@@ -21,9 +24,10 @@ import numpy as np
 from .acoustics import (
     EchoTrace,
     PulseSpec,
+    _adjoint,
+    _interfaces,
     burst_matrix,
     reflectivity,
-    reflectivity_adjoint,
     synthesize_echo,  # not called here; perfbench/spans.py wraps this name
 )
 from .errors import DomainError, NumericalError, SolverNotFoundError
@@ -145,19 +149,40 @@ def _check_radii(radii, problem):
     if radii.shape != (problem.grid.nx,):
         raise DomainError("radii column length must equal grid.nx")
     r_min, r_max = problem.bounds
-    if np.any(radii < r_min - 1e-15) or np.any(radii > r_max + 1e-15):
+    lo, hi = radii.min(), radii.max()
+    # written so that NaN fails it
+    if not (r_min - 1e-15 <= lo and hi <= r_max + 1e-15):
         raise DomainError("radii outside bounds")
+    if not np.pi * lo**2 > 0:
+        raise DomainError("areas must be positive")
+
+
+def _evaluate(radii, problem):
+    """Objective at checked radii, and the pieces :func:`_gradient` reuses:
+    Gamma, loss, the residual F(r) - y and smooth = L (r - prior)."""
+    gammas, loss = _interfaces(radii)
+    residual = (gammas * loss) @ problem.bursts - problem.observed.samples
+    smooth = second_difference_matrix(problem.grid.nx) @ (radii - problem.prior)
+    f = 0.5 * float(residual @ residual) + problem.lam * float(smooth @ smooth)
+    return f, (gammas, loss, residual, smooth)
+
+
+def _gradient(radii, problem, pieces):
+    """Exact gradient at ``radii`` from the ``pieces`` of its evaluation."""
+    gammas, loss, residual, smooth = pieces
+    L = second_difference_matrix(problem.grid.nx)
+    g = _adjoint(radii, gammas, loss, problem.bursts @ residual) \
+        + 2 * problem.lam * (L.T @ smooth)
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("non-finite gradient")
+    return g
 
 
 def objective(radii, problem: InverseProblem):
     """Data misfit plus smoothing penalty; see module docstring."""
     radii = np.asarray(radii, dtype=float)
     _check_radii(radii, problem)
-    residual = problem.forward(radii) - problem.observed.samples
-    data_term = 0.5 * float(residual @ residual)
-    L = second_difference_matrix(problem.grid.nx)
-    smooth = L @ (radii - problem.prior)
-    return data_term + problem.lam * float(smooth @ smooth)
+    return _evaluate(radii, problem)[0]
 
 
 def gradient(radii, problem: InverseProblem, options: SolverOptions):
@@ -167,13 +192,7 @@ def gradient(radii, problem: InverseProblem, options: SolverOptions):
     """
     radii = np.asarray(radii, dtype=float)
     _check_radii(radii, problem)
-    residual = problem.forward(radii) - problem.observed.samples
-    L = second_difference_matrix(problem.grid.nx)
-    g = reflectivity_adjoint(radii, problem.bursts @ residual) \
-        + 2 * problem.lam * (L.T @ (L @ (radii - problem.prior)))
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("non-finite gradient")
-    return g
+    return _gradient(radii, problem, _evaluate(radii, problem)[1])
 
 
 def central_gradient(radii, problem, options):
@@ -233,7 +252,10 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
             step = x_new - x
             if np.all(step == 0):
                 break
-            f_new = objective(x_new, problem)
+            # x_new lies in the validated bounds, so it needs no check
+            f_new, pieces = _evaluate(x_new, problem)
+            if not np.isfinite(f_new):
+                raise NumericalError("non-finite objective in the line search")
             # Armijo sufficient decrease on the projected step
             if f_new <= f + LS_C1 * float(g @ step):
                 accepted = True
@@ -242,7 +264,7 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
         if not accepted:
             break
         step_rel = float(np.linalg.norm(step)) / max(float(np.linalg.norm(x)), 1e-300)
-        g_new = gradient(x_new, problem, options)
+        g_new = _gradient(x_new, problem, pieces)
         # Barzilai-Borwein spectral step seeds the next line search
         dg = g_new - g
         sg = float(step @ dg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -26,6 +27,27 @@ SMALL = {
                  "stenosis_center": 16, "stenosis_width": 2.0},
     "solver": {"max_iter": 5},
     "risk": {"horizon": 4},
+}
+
+
+# SHA-256 of the pipeline's result files for PINNED_PIPELINE and seed 5,
+# recorded with numpy 2.4 on x86-64. With noise and 40 iterations the
+# solutions depend on every solver step, so a mismatch means the
+# inversion's arithmetic changed, not only its speed.
+PINNED_PIPELINE = {
+    **SMALL,
+    "scenario": {**SMALL["scenario"], "noise_rms": 0.01},
+    "solver": {"max_iter": 40},
+}
+PINNED_PIPELINE_DIGESTS = {
+    "results.json":
+        "8659eace78b299db32f7476d58245fa0def0bad464b931c0b5c6790c9c2a9e95",
+    "alerts.jsonl":
+        "50b6f9f228aaecdf1052a10693c4ba10de1ecef9d9468af80b806a84c2c3fac8",
+    "solution_0000.json":
+        "b69393243b2a1cdbfd9a3f61df890b7d1df6bd5c3c48967a16360b12512b4280",
+    "solution_0001.json":
+        "d119a6dc601c21ccb3b012becc542a96361bfb749483f596f89dc7382fa36309",
 }
 
 
@@ -369,6 +391,16 @@ class TestGenDataAndPipeline:
                                      str(tmp_path / f"inv{rec['session']}"))
             with open(path, "rb") as fh:
                 assert fh.read() == (run / rec["solution_file"]).read_bytes()
+
+    def test_pipeline_bytes_pinned(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.ini", PINNED_PIPELINE)
+        out = tmp_path / "run"
+        assert cli.main(["--config", cfg, "--seed", "5", "--out", str(out),
+                         "pipeline"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if p.is_file()
+                   and p.name != "pipeline_manifest.json"}
+        assert digests == PINNED_PIPELINE_DIGESTS
 
     def test_pipeline_deterministic(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_grid, stenotic_column
 from vasosim import acoustics as ac
 from vasosim import inversion as inv
-from vasosim.errors import DomainError, SolverNotFoundError
+from vasosim.errors import DomainError, NumericalError, SolverNotFoundError
 
 FS = 8e5
 
@@ -52,6 +52,16 @@ class TestObjective:
         problem = make_problem(model, pulse, truth)
         with pytest.raises(DomainError):
             inv.objective(np.full(16, 1e-6), problem)
+
+    def test_nan_radii_rejected(self, model, pulse):
+        truth = stenotic_column(model, 16, 8, 2.0, 0.1)
+        problem = make_problem(model, pulse, truth)
+        radii = truth.copy()
+        radii[5] = np.nan
+        with pytest.raises(DomainError, match="bounds"):
+            inv.objective(radii, problem)
+        with pytest.raises(DomainError, match="bounds"):
+            inv.gradient(radii, problem, inv.SolverOptions())
 
 
 class TestForward:
@@ -140,6 +150,35 @@ class TestInvertRadii:
         sol = inv.invert_radii(problem)
         err = np.linalg.norm(sol.radii - truth) / np.linalg.norm(truth)
         assert err < 0.10
+
+    def test_reported_values_match_public_functions(self, model, pulse):
+        truth = stenotic_column(model, 64, 32, 2.0, 0.2)
+        problem = make_problem(model, pulse, truth, lam=1e-4, noise=0.01,
+                               seed=123)
+        opts = inv.SolverOptions(max_iter=60)
+        sol = inv.invert_radii(problem, opts)
+        assert sol.iterations > 0
+        assert sol.objective_value == inv.objective(sol.radii, problem)
+        assert sol.gradient_norm_final == np.linalg.norm(
+            inv.gradient(sol.radii, problem, opts))
+
+    def test_non_finite_trial_raises(self, model, pulse, monkeypatch):
+        truth = stenotic_column(model, 32, 16, 2.0, 0.2)
+        problem = make_problem(model, pulse, truth)
+        evaluate = inv._evaluate
+        calls = []
+
+        def nan_after_start(radii, problem):
+            calls.append(None)
+            f, pieces = evaluate(radii, problem)
+            return (f if len(calls) < 4 else np.nan), pieces
+
+        monkeypatch.setattr(inv, "_evaluate", nan_after_start)
+        with pytest.raises(NumericalError, match="line search"):
+            inv.invert_radii(problem, inv.SolverOptions(max_iter=20))
+        # the start point and its gradient take one evaluation each, so the
+        # first NaN trial is the one that raised
+        assert len(calls) == 4
 
     def test_penalty_dominated_limit(self, model, pulse):
         truth = stenotic_column(model, 64, 32, 2.0, 0.2)
