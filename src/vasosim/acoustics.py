@@ -10,9 +10,9 @@ and factors as ``w(r) @ B``: the burst matrix B holds one windowed
 arrival per impedance interface, delayed by the round trip 2x/c, and the
 reflectivity w scales each by the reflection coefficient times the
 accumulated transmission loss; multiple reflections are ignored. B
-depends only on the grid and the sampling, and
-:func:`reflectivity_adjoint` gives the exact (dw/dr)^T v, so synthesis
-and inversion share one forward operator and its derivative.
+depends only on the grid and the sampling, and the inversion's gradient
+applies :func:`_adjoint`, the exact (dw/dr)^T v, so synthesis and
+inversion share one forward operator and its derivative.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ __all__ = [
     "incident_pulse",
     "burst_matrix",
     "reflectivity",
-    "reflectivity_adjoint",
     "synthesize_echo",
     "estimate_tof",
     "density_change",
@@ -258,22 +257,19 @@ def _interfaces(r):
     return gammas, loss
 
 
-def _positive_areas(radii_column):
-    """``radii_column`` as floats; DomainError unless every area is positive."""
+def reflectivity(radii_column):
+    """Interface weights w_i = Gamma_i * prod_{m<i}(1 - Gamma_m^2);
+    DomainError unless every area is positive."""
     r = np.asarray(radii_column, dtype=float)
     if not np.all(np.pi * r**2 > 0):
         raise DomainError("areas must be positive")
-    return r
-
-
-def reflectivity(radii_column):
-    """Interface weights w_i = Gamma_i * prod_{m<i}(1 - Gamma_m^2)."""
-    gammas, loss = _interfaces(_positive_areas(radii_column))
+    gammas, loss = _interfaces(r)
     return gammas * loss
 
 
-def reflectivity_adjoint(radii_column, v):
-    """(dw/dr)^T v for the weights w of :func:`reflectivity`, in O(nx).
+def _adjoint(r, gammas, loss, v):
+    """(dw/dr)^T v for the weights w of :func:`reflectivity`, in O(nx),
+    from the :func:`_interfaces` of r.
 
     dw/dGamma is lower-triangular:
     u_m = loss_m v_m - 2 Gamma_m/(1 - Gamma_m^2) sum_{i>m} w_i v_i.
@@ -281,12 +277,6 @@ def reflectivity_adjoint(radii_column, v):
     dGamma_i/dr_i = 4 r_i r_{i+1}^2/s^2 and
     dGamma_i/dr_{i+1} = -4 r_i^2 r_{i+1}/s^2.
     """
-    r = _positive_areas(radii_column)
-    return _adjoint(r, *_interfaces(r), v)
-
-
-def _adjoint(r, gammas, loss, v):
-    """:func:`reflectivity_adjoint` from the :func:`_interfaces` of r."""
     wv = gammas * loss * v
     beyond = np.concatenate((np.cumsum(wv[::-1])[::-1][1:], [0.0]))
     u = loss * v - 2 * gammas / (1 - gammas**2) * beyond
@@ -404,4 +394,6 @@ def read_echo_csv(path):
                 raise ConfigurationError(f"{path}: non-numeric row {line!r}") from exc
     if len(p) < 2:
         raise ConfigurationError(f"{path}: trace needs at least 2 samples")
+    if not (np.isfinite(fs) and np.isfinite(t).all() and np.isfinite(p).all()):
+        raise ConfigurationError(f"{path}: non-finite number")
     return EchoTrace(samples=np.array(p), fs=fs, t0=t[0], session_id=session_part)

@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate, echo, invert, assess, gen-data, pipeline.
 
 Exit codes are stable: 0 success, 2 input/config error, 3 simulation
-failure, 4 inversion did not converge, 5 provider failure. Config files
-are INI-style key/value sections; every referenced parameter is validated
-before any output file is written.
+failure, 4 inversion did not converge or hit a non-finite value, 5
+provider failure. Config files are INI-style key/value sections, each
+section and key declared in :data:`KEYS`; all are validated before any
+output file is written.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,12 +23,15 @@ from .acoustics import PulseSpec
 from .errors import (
     ConfigurationError,
     DomainError,
-    LowConfidenceError,
+    EstimationError,
+    NumericalError,
     ProviderError,
     SimulationError,
-    VasosimError,
 )
 from .hemogrid import ArteryModel, Grid
+from .inversion import InverseProblem, SolverOptions
+from .risk import AlertPolicy
+from .synthdata import ScenarioSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,20 +42,67 @@ EXIT_PROVIDER = 5
 DEFAULT_CONFIG_ENV = "VASOSIM_CONFIG"
 
 
+class Key(NamedTuple):
+    """A config key: the type its text is cast to, its default (None:
+    derived from other keys by load_config) and the flag that sets it."""
+
+    cast: type
+    default: object
+    flag: str | None = None
+
+
+# Every configuration key, declared once: KEYS[section][key]. A key that
+# fills a dataclass field takes that field's default; load_config rejects
+# any section or key not declared here.
+KEYS = {
+    "model": {name: Key(float, getattr(ArteryModel, name))
+              for name in ("r0", "beta", "p_ext", "alpha", "re")},
+    "grid": {"nx": Key(int, 64), "nt": Key(int, 200), "dx": Key(float, 1e-3),
+             "dt": Key(float, 2e-6), "s_max": Key(float, Grid.s_max),
+             "cfl": Key(float, Grid.cfl)},
+    "pulse": {"omega": Key(float, 2 * np.pi * 1e5),
+              "amp_forward": Key(float, 1.0),
+              "c": Key(float, ArteryModel.c0),
+              "fs": Key(float, None), "duration": Key(float, None)},
+    "solver": {"max_iter": Key(int, SolverOptions.max_iter, "--max-iter"),
+               "grad_tol": Key(float, SolverOptions.grad_tol),
+               "step_tol": Key(float, SolverOptions.step_tol),
+               "lambda": Key(float, InverseProblem.lam, "--lambda")},
+    "risk": {"provider": Key(str, "logistic", "--provider"),
+             "endpoint": Key(str, "", "--endpoint"),
+             "timeout": Key(float, 5.0),
+             "horizon": Key(int, ScenarioSpec.horizon),
+             "step_seconds": Key(float, 3600.0),
+             "critical_prob": Key(float, AlertPolicy.critical_prob),
+             "critical_horizon": Key(int, AlertPolicy.critical_horizon),
+             "warn_prob": Key(float, AlertPolicy.warn_prob),
+             "w_stenosis": Key(float, 6.0), "w_density": Key(float, 2.0),
+             "w_horizon": Key(float, 1.0), "bias": Key(float, -4.0),
+             "horizon_decay": Key(float, 0.2)},
+    "scenario": {"kind": Key(str, "progressive-occlusion"),
+                 "severity": Key(float, 0.5),
+                 "stenosis_center": Key(int, None),
+                 "stenosis_width": Key(float, ScenarioSpec.stenosis_width),
+                 "noise_rms": Key(float, 0.01), "sessions": Key(int, 3),
+                 "seed": Key(int, ScenarioSpec.seed, "--seed")},
+    "simulate": {"inlet_amplitude": Key(float, 0.0),
+                 "inlet_frequency": Key(float, 0.0), "bc": Key(str, "inlet")},
+}
+
+
 @dataclass
 class RunConfig:
     model: ArteryModel
     grid: Grid
     pulse: PulseSpec
-    solver_name: str
-    solver_options: inversion.SolverOptions
+    solver_options: SolverOptions
     lam: float
     provider_name: str
     endpoint: str
     timeout: float
     horizon: int
     step_seconds: float
-    policy: risk.AlertPolicy
+    policy: AlertPolicy
     weights: tuple
     bias: float
     horizon_decay: float
@@ -71,109 +123,66 @@ class RunConfig:
 def load_config(path=None, overrides=None):
     """Parse and fully validate a run configuration.
 
-    Raises ConfigurationError on any malformed or out-of-range value;
+    ``overrides`` maps ``(section, key)`` to a value that wins over the
+    file's. Raises ConfigurationError on any malformed or out-of-range
+    value and on any section or key that :data:`KEYS` does not declare;
     callers map that to exit code 2 before touching the filesystem.
     """
     parser = configparser.ConfigParser()
     if path is None:
         path = os.environ.get(DEFAULT_CONFIG_ENV)
-    if path is not None:
-        if not os.path.exists(path):
-            raise ConfigurationError(f"config file not found: {path}")
-        try:
+    if path is not None and not os.path.exists(path):
+        raise ConfigurationError(f"config file not found: {path}")
+    try:
+        if path is not None:
             parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigurationError(f"malformed config {path}: {exc}") from exc
-
-    def get(section, key, cast, default):
+        # iterating the parser includes its DEFAULT section
+        given = {(section, key): text for section in parser
+                 for key, text in parser.items(section)}
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in KEYS:
+            raise ConfigurationError(f"unknown config section [{section}]")
+    # section -> {key: value}; below, each key that goes elsewhere is
+    # popped, and the rest fill RunConfig fields of the same name
+    v = {section: {key: decl.default for key, decl in keys.items()}
+         for section, keys in KEYS.items()}
+    for (section, key), text in {**given, **(overrides or {})}.items():
+        if key not in v.get(section, ()):
+            raise ConfigurationError(f"unknown config key [{section}] {key}")
         try:
-            raw = parser.get(section, key, fallback=None)
-            if overrides and (section, key) in overrides:
-                raw = overrides[(section, key)]
-            if raw is None:
-                return default
-            return cast(raw)
+            v[section][key] = KEYS[section][key].cast(text)
         except (ValueError, TypeError) as exc:
             raise ConfigurationError(
                 f"bad value for [{section}] {key}: {exc}") from exc
-
+    pulse, rsk, scenario = v["pulse"], v["risk"], v["scenario"]
     try:
-        model = ArteryModel(
-            r0=get("model", "r0", float, 2e-3),
-            beta=get("model", "beta", float, 1.5e7),
-            p_ext=get("model", "p_ext", float, 0.0),
-            rho=get("model", "rho", float, 1060.0),
-            mu=get("model", "mu", float, 3.5e-3),
-            alpha=get("model", "alpha", float, 3.0),
-            re=get("model", "re", float, 100.0),
-            c0=get("model", "c0", float, 1540.0),
-        )
-        grid = Grid(
-            nx=get("grid", "nx", int, 64),
-            nt=get("grid", "nt", int, 200),
-            dx=get("grid", "dx", float, 1e-3),
-            dt=get("grid", "dt", float, 2e-6),
-            s_max=get("grid", "s_max", float, 5.0),
-            cfl=get("grid", "cfl", float, 0.5),
-        )
-        omega = get("pulse", "omega", float, 2 * np.pi * 1e5)
-        c = get("pulse", "c", float, model.c0)
-        pulse = PulseSpec.axial(
-            omega=omega,
-            amp_forward=get("pulse", "amp_forward", float, 1.0),
-            amp_reflected=get("pulse", "amp_reflected", float, 0.0),
-            c=c,
-        )
-        fs = get("pulse", "fs", float, 8 * omega / (2 * np.pi))
-        duration = get("pulse", "duration", float,
-                       2.4 * grid.nx * grid.dx / c)
-        solver_name = get("solver", "name", str, inversion.SOLVER_NAME)
-        if solver_name != inversion.SOLVER_NAME:
-            raise ConfigurationError(f"unknown solver {solver_name!r}")
-        solver_options = inversion.SolverOptions(
-            max_iter=get("solver", "max_iter", int, 500),
-            grad_tol=get("solver", "grad_tol", float, 1e-8),
-            step_tol=get("solver", "step_tol", float, 1e-12),
-        )
-        lam = get("solver", "lambda", float, 1e-4)
+        grid = Grid(**v["grid"])
+        fs, duration = pulse.pop("fs"), pulse.pop("duration")
+        pulse = PulseSpec.axial(amp_reflected=0.0, **pulse)
+        if fs is None:
+            fs = 8 * pulse.omega / (2 * np.pi)
+        if duration is None:
+            duration = 2.4 * grid.nx * grid.dx / pulse.c
+        lam = v["solver"].pop("lambda")
         if lam < 0:
             raise ConfigurationError("lambda must be nonnegative")
-        provider_name = get("risk", "provider", str, "logistic")
+        provider_name = rsk.pop("provider")
         if provider_name not in ("logistic", "llm"):
             raise ConfigurationError(f"unknown provider {provider_name!r}")
-        policy = risk.AlertPolicy(
-            critical_prob=get("risk", "critical_prob", float, 0.8),
-            critical_horizon=get("risk", "critical_horizon", int, 2),
-            warn_prob=get("risk", "warn_prob", float, 0.5),
-        )
-        weights = (
-            get("risk", "w_stenosis", float, 6.0),
-            get("risk", "w_density", float, 2.0),
-            get("risk", "w_horizon", float, 1.0),
-        )
+        policy = AlertPolicy(**{name: rsk.pop(name) for name in (
+            "critical_prob", "critical_horizon", "warn_prob")})
+        weights = tuple(rsk.pop(name)
+                        for name in ("w_stenosis", "w_density", "w_horizon"))
+        if scenario["stenosis_center"] is None:
+            scenario["stenosis_center"] = grid.nx // 2
         cfg = RunConfig(
-            model=model, grid=grid, pulse=pulse,
-            solver_name=solver_name, solver_options=solver_options, lam=lam,
-            provider_name=provider_name,
-            endpoint=get("risk", "endpoint", str, ""),
-            timeout=get("risk", "timeout", float, 5.0),
-            horizon=get("risk", "horizon", int, 24),
-            step_seconds=get("risk", "step_seconds", float, 3600.0),
-            policy=policy, weights=weights,
-            bias=get("risk", "bias", float, -4.0),
-            horizon_decay=get("risk", "horizon_decay", float, 0.2),
-            fs=fs, duration=duration,
-            scenario_kind=get("scenario", "kind", str, "progressive-occlusion"),
-            severity=get("scenario", "severity", float, 0.5),
-            stenosis_center=get("scenario", "stenosis_center", int, grid.nx // 2),
-            stenosis_width=get("scenario", "stenosis_width", float, 3.0),
-            noise_rms=get("scenario", "noise_rms", float, 0.01),
-            sessions=get("scenario", "sessions", int, 3),
-            seed=get("scenario", "seed", int, 0),
-            inlet_amplitude=get("simulate", "inlet_amplitude", float, 0.0),
-            inlet_frequency=get("simulate", "inlet_frequency", float, 0.0),
-            bc=get("simulate", "bc", str, "inlet"),
-        )
+            model=ArteryModel(**v["model"]), grid=grid, pulse=pulse,
+            solver_options=SolverOptions(**v["solver"]), lam=lam,
+            provider_name=provider_name, policy=policy, weights=weights,
+            fs=fs, duration=duration, scenario_kind=scenario.pop("kind"),
+            **rsk, **scenario, **v["simulate"])
         if cfg.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         if cfg.provider_name == "llm" and not cfg.endpoint:
@@ -250,10 +259,10 @@ def cmd_echo(cfg: RunConfig, radii_path, out_dir, column=-1):
 
 def _invert(cfg: RunConfig, observed, path):
     """Recover the radii behind ``observed`` and write them to ``path``."""
-    problem = inversion.InverseProblem(
+    problem = InverseProblem(
         observed=observed, pulse=cfg.pulse, grid=cfg.grid, model=cfg.model,
         lam=cfg.lam)
-    solver = inversion.get_solver(cfg.solver_name)
+    solver = inversion.get_solver(inversion.SOLVER_NAME)
     solution = solver(problem, cfg.solver_options)
     _write_json(path, solution.to_dict())
     return solution
@@ -321,7 +330,7 @@ def cmd_assess(cfg: RunConfig, input_path, out_dir, provider=None, sink=None):
 
 
 def cmd_gen_data(cfg: RunConfig, out_dir, seed=None):
-    spec = synthdata.ScenarioSpec(
+    spec = ScenarioSpec(
         kind=cfg.scenario_kind, grid=cfg.grid, model=cfg.model,
         pulse=cfg.pulse, severity=cfg.severity,
         stenosis_center=cfg.stenosis_center,
@@ -352,7 +361,7 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
         try:
             tof = acoustics.estimate_tof(incident, sess.echo)
             tof_s = tof.tof
-        except (LowConfidenceError, VasosimError):
+        except EstimationError:
             tof, tof_s = None, 0.0
         if tof_ref is None and tof is not None:
             tof_ref = tof
@@ -405,13 +414,12 @@ def build_parser():
                     "risk pipeline")
     parser.add_argument("--config", help="INI config path "
                         f"(default ${DEFAULT_CONFIG_ENV})")
-    parser.add_argument("--seed", type=int, help="override scenario seed")
-    parser.add_argument("--solver", help="inversion solver name")
-    parser.add_argument("--provider", choices=["logistic", "llm"])
-    parser.add_argument("--endpoint", help="llm provider URL")
-    parser.add_argument("--lambda", dest="lam", type=float,
-                        help="regularization weight")
-    parser.add_argument("--max-iter", type=int)
+    for section, keys in KEYS.items():
+        for key, decl in keys.items():
+            if decl.flag:
+                parser.add_argument(decl.flag, dest=decl.flag,
+                                    metavar=key.upper(),
+                                    help=f"set [{section}] {key}")
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate")
@@ -429,19 +437,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.solver is not None:
-        overrides[("solver", "name")] = args.solver
-    if args.provider is not None:
-        overrides[("risk", "provider")] = args.provider
-    if args.endpoint is not None:
-        overrides[("risk", "endpoint")] = args.endpoint
-    if args.lam is not None:
-        overrides[("solver", "lambda")] = str(args.lam)
-    if args.max_iter is not None:
-        overrides[("solver", "max_iter")] = str(args.max_iter)
-    if args.seed is not None:
-        overrides[("scenario", "seed")] = str(args.seed)
+    flags = vars(args)
+    overrides = {(section, key): flags[decl.flag]
+                 for section, keys in KEYS.items()
+                 for key, decl in keys.items()
+                 if flags.get(decl.flag) is not None}
     try:
         cfg = load_config(args.config, overrides=overrides)
     except ConfigurationError as exc:
@@ -473,6 +473,9 @@ def main(argv=None):
         print(f"simulation failed at step {exc.step_index}: {exc}",
               file=sys.stderr)
         return EXIT_SIMULATION
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except ProviderError as exc:
         print(f"provider failure: {exc}", file=sys.stderr)
         return EXIT_PROVIDER

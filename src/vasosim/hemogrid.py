@@ -371,5 +371,7 @@ def read_radii_csv(path, s_max=5.0, cfl=1.0):
         raise ConfigurationError(
             f"{path}: body shape {values.shape} does not match header ({nx}, {nt})"
         )
+    if not (np.isfinite(values).all() and np.isfinite([dx, dt]).all()):
+        raise ConfigurationError(f"{path}: non-finite number")
     grid = Grid(nx=nx, nt=nt, dx=dx, dt=dt, s_max=s_max, cfl=cfl)
     return RadiiField(values=values, grid=grid)

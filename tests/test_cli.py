@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,22 @@ PINNED_PIPELINE_DIGESTS = {
 }
 
 
+# Sections and keys load_config does not declare: an unknown section, a
+# misspelt key, a key deleted earlier and the five keys nothing read.
+UNDECLARED = {
+    "section": "[solverr]\nmax_iter = 3\n",
+    "empty-section": "[solverr]\n",
+    "misspelt": "[solver]\nmax_iters = 3\n",
+    "fd_step": "[solver]\nfd_step = 1e-6\n",
+    "mu": "[model]\nmu = 3.5e-3\n",
+    "rho": "[model]\nrho = 1060\n",
+    "c0": "[model]\nc0 = 1540\n",
+    "amp_reflected": "[pulse]\namp_reflected = 0.0\n",
+    "solver-name": "[solver]\nname = gauss-descent\n",
+    "default-section": "[DEFAULT]\nmax_iter = 3\n",
+}
+
+
 @pytest.fixture
 def small_config(tmp_path):
     return write_config(tmp_path / "cfg.ini", SMALL)
@@ -61,7 +79,6 @@ class TestLoadConfig:
         monkeypatch.delenv(cli.DEFAULT_CONFIG_ENV, raising=False)
         cfg = cli.load_config(None)
         assert cfg.grid.nx == 64
-        assert cfg.solver_name == "gauss-descent"
         assert cfg.provider_name == "logistic"
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
@@ -101,6 +118,25 @@ class TestLoadConfig:
                               overrides={("solver", "lambda"): "0.5"})
         assert cfg.lam == 0.5
 
+    @pytest.mark.parametrize("text", UNDECLARED.values(), ids=UNDECLARED)
+    def test_undeclared_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="unknown config"):
+            cli.load_config(str(path))
+
+    def test_undeclared_override_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown config"):
+            cli.load_config(None, overrides={("solver", "name"): "x"})
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        cfg = cli.load_config(str(path))
+        assert (cfg.grid.nx, cfg.sessions, cfg.horizon) == (64, 3, 24)
+
 
 class TestExitCodes:
     def test_malformed_config_no_partial_output(self, tmp_path):
@@ -128,10 +164,42 @@ class TestExitCodes:
                          "invert", str(tmp_path / "missing.csv")])
         assert code == cli.EXIT_CONFIG
 
-    def test_invalid_solver_flag(self, small_config, tmp_path):
-        code = cli.main(["--config", small_config, "--solver", "nope",
-                         "--out", str(tmp_path / "out"), "simulate"])
+    def test_solver_flag_removed(self, small_config, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", small_config, "--solver", "gauss-descent",
+                      "--out", str(out), "simulate"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_flags_set_their_keys(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def load_config(path, overrides):
+            seen.update(overrides)
+            raise ConfigurationError("stop before running")
+
+        monkeypatch.setattr(cli, "load_config", load_config)
+        code = cli.main(["--seed", "7", "--provider", "llm",
+                         "--endpoint", "http://h/", "--lambda", "0.5",
+                         "--max-iter", "9", "--out", str(tmp_path / "out"),
+                         "simulate"])
         assert code == cli.EXIT_CONFIG
+        assert seen == {("scenario", "seed"): "7",
+                        ("risk", "provider"): "llm",
+                        ("risk", "endpoint"): "http://h/",
+                        ("solver", "lambda"): "0.5",
+                        ("solver", "max_iter"): "9"}
+
+    @pytest.mark.parametrize("text", UNDECLARED.values(), ids=UNDECLARED)
+    def test_undeclared_exits_before_output(self, tmp_path, text):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(path), "--out", str(out),
+                         "pipeline"])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_provider_down(self, small_config, tmp_path):
         report = tmp_path / "report.json"
@@ -175,7 +243,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit", [
         lambda row: "abc," + row.split(",", 1)[1],
         lambda row: row.rsplit(",", 1)[0],
-    ], ids=["non-numeric", "short-row"])
+        lambda row: "inf," + row.split(",", 1)[1],
+    ], ids=["non-numeric", "short-row", "non-finite"])
     def test_bad_radii_body(self, small_config, tmp_path, edit):
         path = self._radii_csv(tmp_path, edit)
         code = cli.main(["--config", small_config,
@@ -191,6 +260,59 @@ class TestExitCodes:
         code = cli.main(["--config", small_config,
                          "--out", str(tmp_path / "out"), "invert", str(path)])
         assert code == cli.EXIT_CONFIG
+
+    def _uniform_echo(self, small_config, tmp_path):
+        cfg = cli.load_config(small_config)
+        trace = acoustics.synthesize_echo(
+            np.full(32, cfg.model.r0), cfg.pulse, cfg.grid, cfg.model,
+            fs=cfg.fs, duration=cfg.duration)
+        path = tmp_path / "echo.csv"
+        acoustics.write_echo_csv(path, trace)
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(",0.0\n", ",nan\n", 1),
+        lambda text: text.replace(",0.0\n", ",inf\n", 1),
+        lambda text: re.sub(r"fs=\S+", "fs=inf", text, count=1),
+    ], ids=["nan-sample", "inf-sample", "inf-fs"])
+    def test_non_finite_echo(self, small_config, tmp_path, capsys, edit):
+        path = self._uniform_echo(small_config, tmp_path)
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
+        out = tmp_path / "out"
+        code = cli.main(["--config", small_config, "--out", str(out),
+                         "invert", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert "non-finite number" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
+    def test_non_finite_radii_header(self, small_config, tmp_path, capsys):
+        path = self._radii_csv(tmp_path, lambda row: row)
+        header, body = path.read_text().split("\n", 1)
+        nx, nt, _, dt = header.split(",")
+        path.write_text(f"{nx},{nt},inf,{dt}\n{body}")  # dx = inf
+        code = cli.main(["--config", small_config,
+                         "--out", str(tmp_path / "out"), "echo", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert "non-finite number" in capsys.readouterr().err
+
+    def test_numerical_error_exit(self, small_config, tmp_path, capsys):
+        # a finite sample the reader accepts, but whose square overflows
+        # the objective; numpy's overflow warning would be raised as an
+        # error under the test suite's filterwarnings setting
+        path = self._uniform_echo(small_config, tmp_path)
+        lines = path.read_text().splitlines()
+        mid = len(lines) // 2  # inside the bursts' span, so it enters g
+        lines[mid] = lines[mid].split(",")[0] + ",1e308"
+        path.write_text("\n".join(lines) + "\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["--config", small_config,
+                             "--out", str(tmp_path / "out"),
+                             "invert", str(path)])
+        assert code == cli.EXIT_NOT_CONVERGED
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: non-finite")
 
 
 class TestSimulate:
