@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import os
 import sys
@@ -51,9 +52,12 @@ class Key(NamedTuple):
     flag: str | None = None
 
 
+# the remote provider's own defaults, which [risk] timeout and step_seconds take
+_LLM = inspect.signature(risk.LlmProvider).parameters
+
 # Every configuration key, declared once: KEYS[section][key]. A key that
-# fills a dataclass field takes that field's default; load_config rejects
-# any section or key not declared here.
+# fills a dataclass field or a parameter takes that field's or parameter's
+# default; load_config rejects any section or key not declared here.
 KEYS = {
     "model": {name: Key(float, getattr(ArteryModel, name))
               for name in ("r0", "beta", "p_ext", "alpha", "re")},
@@ -70,9 +74,9 @@ KEYS = {
                "lambda": Key(float, InverseProblem.lam, "--lambda")},
     "risk": {"provider": Key(str, "logistic", "--provider"),
              "endpoint": Key(str, "", "--endpoint"),
-             "timeout": Key(float, 5.0),
+             "timeout": Key(float, _LLM["timeout"].default),
              "horizon": Key(int, ScenarioSpec.horizon),
-             "step_seconds": Key(float, 3600.0),
+             "step_seconds": Key(float, _LLM["step_seconds"].default),
              "critical_prob": Key(float, AlertPolicy.critical_prob),
              "critical_horizon": Key(int, AlertPolicy.critical_horizon),
              "warn_prob": Key(float, AlertPolicy.warn_prob),
@@ -127,6 +131,8 @@ def load_config(path=None, overrides=None):
     file's. Raises ConfigurationError on any malformed or out-of-range
     value and on any section or key that :data:`KEYS` does not declare;
     callers map that to exit code 2 before touching the filesystem.
+    The ``[scenario]`` keys are checked where a command builds their
+    :class:`ScenarioSpec`, also before any output.
     """
     parser = configparser.ConfigParser()
     if path is None:
@@ -161,10 +167,9 @@ def load_config(path=None, overrides=None):
         grid = Grid(**v["grid"])
         fs, duration = pulse.pop("fs"), pulse.pop("duration")
         pulse = PulseSpec.axial(amp_reflected=0.0, **pulse)
-        if fs is None:
-            fs = 8 * pulse.omega / (2 * np.pi)
-        if duration is None:
-            duration = 2.4 * grid.nx * grid.dx / pulse.c
+        default_fs, default_duration = synthdata.echo_timing(pulse, grid)
+        fs = default_fs if fs is None else fs
+        duration = default_duration if duration is None else duration
         lam = v["solver"].pop("lambda")
         if lam < 0:
             raise ConfigurationError("lambda must be nonnegative")
@@ -344,7 +349,8 @@ def cmd_gen_data(cfg: RunConfig, out_dir, seed=None):
 
 def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
     """generate -> echo (from dataset) -> invert -> assess, one manifest."""
-    os.makedirs(out_dir, exist_ok=True)
+    # no makedirs of out_dir first: cmd_gen_data checks [scenario] before it
+    # writes anything, and making the dataset directory makes out_dir too
     data_dir = os.path.join(out_dir, "dataset")
     spec, sessions, _ = cmd_gen_data(cfg, data_dir, seed=seed)
     if provider is None:

@@ -38,6 +38,7 @@ __all__ = [
     "step_continuity",
     "step_momentum",
     "solve_flow",
+    "final_radii",
     "write_radii_csv",
     "read_radii_csv",
 ]
@@ -184,11 +185,12 @@ def _tube_law(d, model, sqrt_d_rest):
 
 
 def _ghost(a, bc):
-    """``a`` with one ghost cell at each end: wrapped round for
-    ``bc == "periodic"``, otherwise a copy of the edge cell (zero gradient)."""
+    """``a`` with one ghost cell at each end of its last axis: wrapped round
+    for ``bc == "periodic"``, otherwise a copy of the edge cell (zero
+    gradient)."""
     if bc == "periodic":
-        return np.concatenate((a[-1:], a, a[:1]))
-    return np.concatenate((a[:1], a, a[-1:]))
+        return np.concatenate((a[..., -1:], a, a[..., :1]), axis=-1)
+    return np.concatenate((a[..., :1], a, a[..., -1:]), axis=-1)
 
 
 def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
@@ -207,15 +209,16 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
 
 
 def _continuity(d, u, grid, bc):
-    """Area after one step of :func:`step_continuity`, on bare arrays."""
-    courant = np.max(np.abs(u)) * grid.dt / grid.dx
+    """Area after one step of :func:`step_continuity`, on bare arrays whose
+    last axis runs along the segment; the CFL check covers every row."""
+    courant = np.abs(u).max() * grid.dt / grid.dx
     if courant > 1:
         raise StabilityError(f"continuity CFL violated: |u|dt/dx = {courant:.3g} > 1")
     dg, ug = _ghost(d, bc), _ghost(u, bc)
     # upwind flux of F = u*D at the nx+1 cell interfaces
-    uh = 0.5 * (ug[:-1] + ug[1:])
-    flux = np.where(uh >= 0, uh * dg[:-1], uh * dg[1:])
-    return d - (grid.dt / grid.dx) * (flux[1:] - flux[:-1])
+    uh = 0.5 * (ug[..., :-1] + ug[..., 1:])
+    flux = np.where(uh >= 0, uh * dg[..., :-1], uh * dg[..., 1:])
+    return d - (grid.dt / grid.dx) * (flux[..., 1:] - flux[..., :-1])
 
 
 def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
@@ -236,7 +239,9 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
 
 
 def _momentum(u, p, grid, model, bc, nonlinear=True):
-    """Velocity after one step of :func:`step_momentum`, on bare arrays."""
+    """Velocity after one step of :func:`step_momentum`, on bare arrays
+    whose last axis runs along the segment; the Courant check covers every
+    row."""
     scale = model.re / model.alpha**2
     nu_eff = 1.0 / model.alpha**2  # (Re/alpha^2) * (1/Re)
     diff_number = nu_eff * grid.dt / grid.dx**2
@@ -244,16 +249,16 @@ def _momentum(u, p, grid, model, bc, nonlinear=True):
         raise StabilityError(
             f"momentum diffusion number {diff_number:.3g} exceeds 0.5"
         )
-    adv_courant = scale * np.max(np.abs(u)) * grid.dt / grid.dx
+    adv_courant = scale * np.abs(u).max() * grid.dt / grid.dx
     if adv_courant > 1:
         raise StabilityError(
             f"momentum advective Courant number {adv_courant:.3g} exceeds 1"
         )
 
     ug, pg = _ghost(u, bc), _ghost(p, bc)
-    u_p, u_m = ug[2:], ug[:-2]
+    u_p, u_m = ug[..., 2:], ug[..., :-2]
 
-    dpdx = (pg[2:] - pg[:-2]) / (2 * grid.dx)
+    dpdx = (pg[..., 2:] - pg[..., :-2]) / (2 * grid.dx)
     d2u = (u_p - 2 * u + u_m) / grid.dx**2
     rhs = -dpdx + (1.0 / model.re) * d2u
     if nonlinear:
@@ -283,11 +288,46 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
         per-step flow states (the list has nt entries, index 0 initial).
         No state is written to after it is recorded.
     """
-    if bc not in ("periodic", "inlet"):
-        raise DomainError(f"unknown boundary condition {bc!r}")
     if initial_radii is None:
         initial_radii = np.full(grid.nx, model.r0)
     initial_radii = np.asarray(initial_radii, dtype=float)
+    if initial_radii.shape != (grid.nx,):
+        raise DomainError("initial radii length must equal grid.nx")
+    radii = np.empty((grid.nx, grid.nt))
+    states = []
+    for j, (area, velocity, pressure) in enumerate(
+            _flow(model, grid, initial_radii[None], inlet, bc)):
+        radii[:, j] = np.sqrt(area[0] / np.pi)
+        states.append(FlowState(area=area[0], velocity=velocity[0],
+                                pressure=pressure[0]))
+    return RadiiField(values=radii, grid=grid), states
+
+
+def final_radii(model: ArteryModel, grid: Grid, initial_radii, inlet=None,
+                bc="periodic"):
+    """Radii after ``grid.nt - 1`` steps of :func:`solve_flow`, for a
+    ``(rows, nx)`` stack of initial columns advanced together.
+
+    Row i equals ``solve_flow(..., initial_radii=initial_radii[i])``'s last
+    column bit for bit, and every row is driven by the same ``inlet``. No
+    per-step state is kept. A failing step raises SimulationError naming
+    that step, as :func:`solve_flow` does.
+    """
+    initial_radii = np.asarray(initial_radii, dtype=float)
+    if initial_radii.ndim != 2 or initial_radii.shape[1] != grid.nx:
+        raise DomainError("initial radii must be a (rows, grid.nx) stack")
+    for area, _, _ in _flow(model, grid, initial_radii, inlet, bc):
+        pass
+    return np.sqrt(area / np.pi)
+
+
+def _flow(model, grid, initial_radii, inlet, bc):
+    """The one step loop: yields (area, velocity, pressure) as
+    ``(rows, nx)`` arrays for each of the nt time indices, after that
+    step's checks. Each step makes fresh arrays, so nothing yielded is
+    written to again."""
+    if bc not in ("periodic", "inlet"):
+        raise DomainError(f"unknown boundary condition {bc!r}")
     if not np.all(initial_radii > 0):
         raise DomainError("radii must be positive")
     # the initial column doubles as the rest geometry of the wall closure,
@@ -301,32 +341,27 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
     if waveform.shape != (grid.nt,):
         raise DomainError("inlet waveform length must equal nt")
 
-    radii = np.empty((grid.nx, grid.nt))
-    states = []
     step_bc = "periodic" if bc == "periodic" else "fixed"
-    # each step makes fresh arrays, so no recorded state is written to again
     for j in range(grid.nt):
         if bc == "inlet":
             # drive the inlet cell through the wall closure, zero-gradient outlet
-            root = sqrt_d_rest[0] + waveform[j] / model.beta
-            if root <= 0:
+            root = sqrt_d_rest[:, 0] + waveform[j] / model.beta
+            if (root <= 0).any():
                 raise SimulationError(
                     f"inlet pressure collapses the lumen at step {j}",
                     step_index=j)
-            area[0] = root * root
-            area[-1] = area[-2]
-            velocity[-1] = velocity[-2]
+            area[:, 0] = root * root
+            area[:, -1] = area[:, -2]
+            velocity[:, -1] = velocity[:, -2]
         # the step's one area check, which the tube law and the radii rely on
-        if not (np.all(np.isfinite(area)) and np.all(area > 0)
-                and np.all(np.isfinite(velocity))):
+        if not (np.isfinite(area).all() and (area > 0).all()
+                and np.isfinite(velocity).all()):
             raise SimulationError(f"solver diverged at step {j}", step_index=j)
         pressure = _tube_law(area, model, sqrt_d_rest)
         if bc == "inlet":
-            pressure[0] = model.p_ext + waveform[j]
-            pressure[-1] = pressure[-2]
-        radii[:, j] = np.sqrt(area / np.pi)
-        states.append(FlowState(area=area, velocity=velocity,
-                                pressure=pressure))
+            pressure[:, 0] = model.p_ext + waveform[j]
+            pressure[:, -1] = pressure[:, -2]
+        yield area, velocity, pressure
         if j == grid.nt - 1:
             break
         try:
@@ -335,7 +370,6 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
         except StabilityError as exc:
             raise SimulationError(f"solver unstable at step {j}: {exc}",
                                   step_index=j) from exc
-    return RadiiField(values=radii, grid=grid), states
 
 
 # ---------------------------------------------------------------------------

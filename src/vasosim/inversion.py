@@ -226,6 +226,8 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
     r_min, r_max = problem.bounds
     x = np.clip(problem.prior.copy(), r_min, r_max)
     f = objective(x, problem)
+    if not np.isfinite(f):
+        raise NumericalError("non-finite objective at the start point")
 
     g = gradient(x, problem, options)
     g_norm0 = float(np.linalg.norm(g))

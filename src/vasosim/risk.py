@@ -281,10 +281,10 @@ class LlmProvider:
         raise last_exc
 
 
-def llm_provider(endpoint, timeout=5.0, template_version="v1", **kwargs):
-    """Factory mirroring :func:`logistic_provider` for the remote client."""
-    return LlmProvider(endpoint, timeout=timeout,
-                       template_version=template_version, **kwargs)
+def llm_provider(endpoint, **kwargs):
+    """Factory mirroring :func:`logistic_provider` for the remote client;
+    keyword arguments and their defaults are :class:`LlmProvider`'s."""
+    return LlmProvider(endpoint, **kwargs)
 
 
 # ---------------------------------------------------------------------------

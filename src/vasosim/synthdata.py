@@ -1,10 +1,11 @@
 """Deterministic synthetic scenario generation and dataset I/O.
 
 Scenarios build ground-truth radii columns (baseline, static stenosis, or
-a stenosis deepening linearly across sessions), perturb them with a short
-pulsatile flow run, synthesize noisy echoes, and label each session with
-the binary episode indicator. All randomness derives from one seed plus
-the session index, so session ordering never changes content.
+a stenosis deepening linearly across sessions), perturb them all together
+with one short pulsatile flow run (:func:`hemogrid.final_radii`, which
+keeps only the final radii), synthesize noisy echoes, and label each
+session with the binary episode indicator. All randomness derives from one
+seed plus the session index, so session ordering never changes content.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .hemogrid import ArteryModel, Grid, RadiiField
 __all__ = [
     "ScenarioSpec",
     "LabeledSession",
+    "echo_timing",
     "generate_scenario",
     "write_dataset",
     "read_dataset",
@@ -47,8 +49,8 @@ class ScenarioSpec:
     noise_rms: float = 0.0
     seed: int = 0
     sessions: int = 1
-    fs: float = 0.0          # 0 -> derived from the pulse frequency
-    duration: float = 0.0    # 0 -> round trip over the segment with margin
+    fs: float | None = None        # None -> derived by echo_timing
+    duration: float | None = None  # None -> derived by echo_timing
     horizon: int = 24
     occlusion_threshold: float = 0.6
     perturbation_pa: float = 10.0
@@ -60,18 +62,26 @@ class ScenarioSpec:
             raise DomainError("severity must lie in [0, 1)")
         if self.sessions < 1:
             raise DomainError("sessions must be >= 1")
+        if not self.noise_rms >= 0:
+            raise DomainError("noise_rms must be nonnegative")
+        if not self.stenosis_width > 0:
+            raise DomainError("stenosis_width must be positive")
         if self.kind != "baseline":
             half = 3 * self.stenosis_width
             if not (0 <= self.stenosis_center - half
                     and self.stenosis_center + half < self.grid.nx):
                 raise DomainError("stenosis geometry does not fit inside the grid")
-        if self.fs == 0.0:
-            object.__setattr__(self, "fs",
-                               8.0 * self.pulse.omega / (2 * np.pi))
-        if self.duration == 0.0:
-            object.__setattr__(
-                self, "duration",
-                2.4 * self.grid.nx * self.grid.dx / self.pulse.c)
+        fs, duration = echo_timing(self.pulse, self.grid)
+        if self.fs is None:
+            object.__setattr__(self, "fs", fs)
+        if self.duration is None:
+            object.__setattr__(self, "duration", duration)
+
+
+def echo_timing(pulse: PulseSpec, grid: Grid):
+    """Default echo sample rate and duration: eight samples per pulse
+    period, and the round trip over the segment with 20% margin."""
+    return 8.0 * pulse.omega / (2 * np.pi), 2.4 * grid.nx * grid.dx / pulse.c
 
 
 @dataclass(frozen=True)
@@ -119,23 +129,21 @@ def _label_from_radii(radii, spec: ScenarioSpec):
     return int(np.min(radii) / spec.model.r0 < spec.occlusion_threshold)
 
 
-def _perturbed_truth(spec: ScenarioSpec, base_column):
-    """Short pulsatile run starting from the stenotic geometry; the final
-    radii column carries the physiological perturbation."""
-    g = spec.grid
-    period = g.nt * g.dt
-    inlet = spec.perturbation_pa * np.sin(2 * np.pi * np.arange(g.nt) * g.dt / period)
-    radii_field, _ = hemogrid.solve_flow(spec.model, g, inlet=inlet, bc="inlet",
-                                         initial_radii=base_column)
-    return radii_field.column(g.nt - 1)
-
-
 def generate_scenario(spec: ScenarioSpec):
     """Build the labeled sessions for one scenario; pure function of spec."""
+    g = spec.grid
+    depths = [_dip_depth(spec, s) for s in range(spec.sessions)]
+    # one short pulsatile run for all sessions, each starting from its
+    # stenotic geometry; the final radii carry the physiological perturbation
+    period = g.nt * g.dt
+    inlet = spec.perturbation_pa * np.sin(2 * np.pi * np.arange(g.nt) * g.dt / period)
+    truths = hemogrid.final_radii(
+        spec.model, g, np.array([_truth_column(spec, d) for d in depths]),
+        inlet=inlet, bc="inlet")
+    # every session's radii_truth is a row of this one read-only block
+    truths.setflags(write=False)
     sessions = []
-    for s in range(spec.sessions):
-        depth = _dip_depth(spec, s)
-        truth = _perturbed_truth(spec, _truth_column(spec, depth))
+    for s, (depth, truth) in enumerate(zip(depths, truths)):
         clean = acoustics.synthesize_echo(truth, spec.pulse, spec.grid,
                                           spec.model, fs=spec.fs,
                                           duration=spec.duration,

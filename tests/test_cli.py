@@ -69,6 +69,17 @@ UNDECLARED = {
 }
 
 
+# [scenario] values ScenarioSpec rejects, each set on SMALL
+BAD_SCENARIO = {
+    "severity": {"severity": 1.5},
+    "kind": {"kind": "no-such-kind"},
+    "sessions": {"sessions": 0},
+    "geometry": {"stenosis_center": 2},
+    "noise_rms": {"noise_rms": -0.1},
+    "stenosis_width": {"stenosis_width": 0.0},
+}
+
+
 @pytest.fixture
 def small_config(tmp_path):
     return write_config(tmp_path / "cfg.ini", SMALL)
@@ -201,6 +212,16 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "gen-data"])
+    @pytest.mark.parametrize("bad", BAD_SCENARIO.values(), ids=BAD_SCENARIO)
+    def test_bad_scenario_exits_before_output(self, tmp_path, command, bad):
+        path = write_config(tmp_path / "cfg.ini", {
+            **SMALL, "scenario": {**SMALL["scenario"], **bad}})
+        out = tmp_path / "out"
+        code = cli.main(["--config", path, "--out", str(out), command])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_provider_down(self, small_config, tmp_path):
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"stenosis_index": 0.5}))
@@ -314,6 +335,27 @@ class TestExitCodes:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("numerical failure: non-finite")
 
+
+    def test_non_finite_start_not_converged(self, small_config, tmp_path,
+                                            capsys):
+        # a sample before the first burst arrives adds nothing to the
+        # gradient, which is zero at the uniform prior, but its square
+        # overflows the starting objective (numpy's overflow warning is
+        # silenced as in test_numerical_error_exit)
+        path = self._uniform_echo(small_config, tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",1e308"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            code = cli.main(["--config", small_config, "--out", str(out),
+                             "invert", str(path)])
+        assert code == cli.EXIT_NOT_CONVERGED
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == ("numerical failure: non-finite objective at the "
+                        "start point")
+        for written in out.rglob("*"):
+            assert "Infinity" not in written.read_text()
 
 class TestSimulate:
     def test_quiescent_run(self, small_config, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_grid
+from conftest import make_grid, stenotic_column
 from vasosim import hemogrid as hg
 from vasosim.errors import DomainError, SimulationError, StabilityError
 
@@ -320,6 +320,61 @@ class TestSolveFlow:
         with pytest.raises(SimulationError) as err:
             hg.solve_flow(model, g, inlet=inlet, bc="inlet")
         assert err.value.step_index is not None
+
+    def test_initial_radii_length_checked(self, model):
+        g = make_grid(32, nt=5, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
+        with pytest.raises(DomainError):
+            hg.solve_flow(model, g, initial_radii=np.full(31, model.r0))
+
+
+class TestFinalRadii:
+    """final_radii runs solve_flow's loop on a stack of rows, keeping no
+    history; solve_flow run one row at a time is its reference."""
+
+    @pytest.mark.parametrize("bc", ["inlet", "periodic"])
+    @pytest.mark.parametrize("nx", [2, 17, 64, 128])
+    def test_rows_match_solve_flow(self, model, nx, bc):
+        g = make_grid(nx, nt=300, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
+        inlet = 10.0 * np.sin(2 * np.pi * np.arange(g.nt) / g.nt)
+        stack = np.array([np.full(nx, model.r0),
+                          stenotic_column(model, nx, nx / 2, nx / 8, 0.4)])
+        final = hg.final_radii(model, g, stack, inlet=inlet, bc=bc)
+        assert final.shape == stack.shape
+        for row, initial in zip(final, stack):
+            radii, _ = hg.solve_flow(model, g, inlet=inlet, bc=bc,
+                                     initial_radii=initial)
+            assert row.tobytes() == radii.column(-1).tobytes()
+        if bc == "inlet":
+            assert not np.array_equal(final, stack)  # the inlet moved them
+
+    @pytest.mark.parametrize("sign, radius, reason", [
+        (-1.0, 1e-5, "collapses the lumen"),
+        (1.0, 1e-4, "unstable"),
+    ], ids=["inlet-collapse", "unstable"])
+    def test_failing_row_names_its_step(self, model, sign, radius, reason):
+        g = make_grid(32, nt=400, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
+        inlet = sign * 300.0 * np.sin(2 * np.pi * np.arange(g.nt) / g.nt)
+        healthy = [np.full(g.nx, model.r0),
+                   stenotic_column(model, g.nx, 16, 2.0, 0.4)]
+        for initial in healthy:
+            hg.solve_flow(model, g, inlet=inlet, bc="inlet",
+                          initial_radii=initial)
+        failing = np.full(g.nx, radius)
+        with pytest.raises(SimulationError, match=reason) as alone:
+            hg.solve_flow(model, g, inlet=inlet, bc="inlet",
+                          initial_radii=failing)
+        with pytest.raises(SimulationError, match=reason) as stacked:
+            hg.final_radii(model, g, np.array([healthy[0], failing,
+                                               healthy[1]]),
+                           inlet=inlet, bc="inlet")
+        assert stacked.value.step_index == alone.value.step_index
+        assert 0 < alone.value.step_index < g.nt - 1
+
+    @pytest.mark.parametrize("shape", [(32,), (2, 31), (1, 2, 32)])
+    def test_stack_shape_checked(self, model, shape):
+        g = make_grid(32, nt=5, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
+        with pytest.raises(DomainError):
+            hg.final_radii(model, g, np.full(shape, model.r0))
 
 
 class TestRadiiCsv:

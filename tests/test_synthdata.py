@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from vasosim import cli, synthdata
+from vasosim import cli, hemogrid, synthdata
 from vasosim.errors import (
     ConfigurationError,
     CorruptionError,
@@ -107,6 +107,31 @@ class TestGenerateScenario:
                                      - clean.echo.samples)**2))
         assert noise_rms / clean_rms == pytest.approx(target, rel=0.05)
 
+    @pytest.mark.parametrize("kind", ["static-stenosis",
+                                      "progressive-occlusion"])
+    def test_truth_matches_one_flow_run_per_session(self, model, pulse, kind):
+        # the reference: each session's own solve_flow run, last column
+        spec = make_spec(model, pulse, kind=kind, severity=0.5, sessions=4)
+        g = spec.grid
+        inlet = spec.perturbation_pa * np.sin(
+            2 * np.pi * np.arange(g.nt) * g.dt / (g.nt * g.dt))
+        for sess in synthdata.generate_scenario(spec):
+            initial = synthdata._truth_column(
+                spec, synthdata._dip_depth(spec, sess.session_index))
+            radii, _ = hemogrid.solve_flow(model, g, inlet=inlet, bc="inlet",
+                                           initial_radii=initial)
+            assert sess.radii_truth.tobytes() == radii.column(-1).tobytes()
+
+    def test_radii_truth_rows_independent(self, model, pulse):
+        spec = make_spec(model, pulse, kind="progressive-occlusion",
+                         severity=0.5)
+        truths = [s.radii_truth for s in synthdata.generate_scenario(spec)]
+        for i, a in enumerate(truths):
+            assert not a.flags.writeable
+            assert a.base is None or not a.base.flags.writeable
+            for b in truths[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_invalid_specs(self, model, pulse):
         with pytest.raises(DomainError):
             make_spec(model, pulse, kind="no-such-kind")
@@ -117,6 +142,10 @@ class TestGenerateScenario:
                       stenosis_center=2)  # dip spills past the boundary
         with pytest.raises(DomainError):
             make_spec(model, pulse, sessions=0)
+        with pytest.raises(DomainError):
+            make_spec(model, pulse, noise_rms=-0.1)
+        with pytest.raises(DomainError):
+            make_spec(model, pulse, stenosis_width=0.0)
 
 
 class TestDatasetIO:
@@ -211,3 +240,32 @@ def test_gen_data_bytes_pinned(tmp_path, monkeypatch):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == PINNED_DIGESTS
+
+
+# The same for the default config (no INI: three progressive-occlusion
+# sessions, nx=64, nt=200) and seed 0, recorded before gen-data ran all
+# sessions as one flow.
+DEFAULT_DIGESTS = {
+    "manifest.json":
+        "7a2de0f64ff573a6361e79c9dc6fec009a7ffb54dfac5175d252146dec174f0b",
+    "session_0000_echo.csv":
+        "7d1bbc18c80b26b7d0cd3418667fb51c70f3d428d182eb8afeb3cd6e4f9667c3",
+    "session_0000_radii.csv":
+        "1959a273f1fc8f3939b876a5010c393e6a5b0989650dfdce888b1e8c0e86966f",
+    "session_0001_echo.csv":
+        "04f3cf66f540499a89404078eff612624735c9b6b1124ed0119670e6cf560f9b",
+    "session_0001_radii.csv":
+        "418af99822e79183f3532a715ffe9612b998958ef40cf961401f0a17be8325b3",
+    "session_0002_echo.csv":
+        "c5de02e4110860aff8671e1c48847549683a2c171c96d06458aeb6704bfa7d24",
+    "session_0002_radii.csv":
+        "21f7c76826b2077aaf4ac68c2694eee7ca4fa5cae07467289f9084a13535c49d",
+}
+
+
+def test_gen_data_default_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.DEFAULT_CONFIG_ENV, raising=False)
+    cli.cmd_gen_data(cli.load_config(None), tmp_path, seed=0)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == DEFAULT_DIGESTS
