@@ -45,7 +45,8 @@ DEFAULT_CONFIG_ENV = "VASOSIM_CONFIG"
 
 class Key(NamedTuple):
     """A config key: the type its text is cast to, its default (None:
-    derived from other keys by load_config) and the flag that sets it."""
+    derived, from other keys by load_config or, for [solver] lambda, from
+    the echo by the discrepancy principle) and the flag that sets it."""
 
     cast: type
     default: object
@@ -70,7 +71,6 @@ KEYS = {
               "fs": Key(float, None), "duration": Key(float, None)},
     "solver": {"max_iter": Key(int, SolverOptions.max_iter, "--max-iter"),
                "grad_tol": Key(float, SolverOptions.grad_tol),
-               "step_tol": Key(float, SolverOptions.step_tol),
                "lambda": Key(float, InverseProblem.lam, "--lambda")},
     "risk": {"provider": Key(str, "logistic", "--provider"),
              "endpoint": Key(str, "", "--endpoint"),
@@ -100,7 +100,7 @@ class RunConfig:
     grid: Grid
     pulse: PulseSpec
     solver_options: SolverOptions
-    lam: float
+    lam: float | None  # None: the discrepancy principle picks lambda
     provider_name: str
     endpoint: str
     timeout: float
@@ -171,7 +171,7 @@ def load_config(path=None, overrides=None):
         fs = default_fs if fs is None else fs
         duration = default_duration if duration is None else duration
         lam = v["solver"].pop("lambda")
-        if lam < 0:
+        if lam is not None and not lam >= 0:
             raise ConfigurationError("lambda must be nonnegative")
         provider_name = rsk.pop("provider")
         if provider_name not in ("logistic", "llm"):

@@ -1,21 +1,26 @@
 """Radii recovery by regularized nonlinear least squares.
 
-The reference solver is projected gradient descent with backtracking line
-search on
+The solver minimizes
 
-    J(r) = 0.5 ||F(r) - y||^2 + lambda ||L (r - prior)||^2
+    J(r) = 0.5 ||F(r) - y||^2 + lambda ||D (r - prior) / r0||^2
 
 where F(r) = w(r) @ B is the single-scattering echo forward map of
-:mod:`vasosim.acoustics` and L the interior second-difference operator.
-Each problem builds the burst matrix B once; the gradient is exact, the
-adjoint (dw/dr)^T B (F(r) - y) plus the penalty term. Each line-search
-trial makes one forward evaluation, which also yields the pieces that
-gradient needs, so the gradient at the accepted point costs no second
-forward evaluation. :func:`objective` and :func:`gradient` check their
-radii once and run that same evaluation.
+:mod:`vasosim.acoustics`, D the first differences of the column between
+two endpoint-anchor rows (:func:`difference_matrix`) and r0 the model's
+reference radius, so the penalty is dimensionless. Gamma depends only on
+area ratios, so the anchors alone fix the absolute radius.
+
+:func:`invert_radii` runs Levenberg-Marquardt on the exact Jacobian
+B^T dw/dr, with every trial point clipped to the bound box. A problem
+whose ``lam`` is None takes lambda from Morozov's discrepancy principle,
+||F(r_lambda) - y||^2 = n (tau sigma)^2 over the n echo samples with
+tau = :data:`DISCREPANCY_TAU`: a secant on log lambda from lambda = 1,
+each solve warm-started from the previous one's radii. sigma comes from
+the echo itself (:func:`noise_sigma`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,6 +31,7 @@ from .acoustics import (
     PulseSpec,
     _adjoint,
     _interfaces,
+    _jacobian,
     burst_matrix,
     reflectivity,
     synthesize_echo,  # not called here; perfbench/spans.py wraps this name
@@ -39,26 +45,30 @@ __all__ = [
     "InverseSolution",
     "objective",
     "gradient",
+    "noise_sigma",
     "invert_radii",
     "SOLVER_NAME",
     "get_solver",
-    "second_difference_matrix",
+    "difference_matrix",
 ]
 
 
 @dataclass(frozen=True)
 class InverseProblem:
+    """One echo to invert. ``lam`` None picks lambda by the discrepancy
+    principle; a number fixes it."""
+
     observed: EchoTrace
     pulse: PulseSpec
     grid: Grid
     model: ArteryModel
-    lam: float = 1e-4
+    lam: float | None = None
     prior: np.ndarray | None = None
     bounds: tuple[float, float] = (1e-4, 1e-2)
     bursts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lam < 0:
+        if self.lam is not None and not self.lam >= 0:
             raise DomainError("lambda must be nonnegative")
         r_min, r_max = self.bounds
         if not (0 < r_min < r_max):
@@ -88,22 +98,32 @@ class InverseProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_iter: int = 500
-    grad_tol: float = 1e-8   # relative to the initial gradient norm
-    step_tol: float = 1e-12  # relative step size ||dr||/||r||
+    max_iter: int = 500      # Levenberg-Marquardt trials per lambda
+    # converged once g^T (H + mu diag H)^-1 g, the gradient's squared norm
+    # in the damped Gauss-Newton metric, is at most grad_tol * objective
+    grad_tol: float = 1e-8
     fd_step: float = 1e-6    # relative step of central_gradient only
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
-        if self.grad_tol <= 0 or self.step_tol <= 0 or self.fd_step <= 0:
+        if not (self.grad_tol > 0 and self.fd_step > 0):
             raise DomainError("tolerances must be positive")
 
 
-# backtracking line search: step shrink factor and Armijo constant
-LS_SHRINK = 0.5
-LS_C1 = 1e-4
-OBJ_FLOOR = 1e-20  # an objective at or below this counts as an exact fit
+# Levenberg-Marquardt damping starts at, and never drops below, MU_MIN,
+# so steps stay close to Gauss-Newton's while its model holds
+MU_MIN = 1e-9
+# The discrepancy principle's lambda search: its range, its target
+# ||F(r) - y||^2 = (tau sigma)^2 n, how close the misfit must come to it,
+# and at most how many solves. tau > 1 as in Morozov's principle: sigma
+# rests on only n - (nx - 1) noise samples (17 at the default grid) and
+# can come out low, and a target below the true noise floor drives lambda
+# into directions the data do not determine, where the solves crawl.
+LAMBDA_MIN, LAMBDA_MAX = 1e-6, 1e6
+DISCREPANCY_TAU = 1.2
+DISCREPANCY_RTOL = 0.1
+MAX_LAMBDA_SOLVES = 30
 
 
 @dataclass(frozen=True)
@@ -114,6 +134,8 @@ class InverseSolution:
     iterations: int
     converged: bool
     gradient_norm_final: float
+    lam: float
+    noise_sigma: float | None  # None when lambda was given
 
     def to_dict(self):
         return {
@@ -123,26 +145,27 @@ class InverseSolution:
             "iterations": self.iterations,
             "converged": self.converged,
             "gradient_norm_final": self.gradient_norm_final,
+            "lambda": self.lam,
+            "noise_sigma": self.noise_sigma,
         }
 
 
 @lru_cache(maxsize=32)
-def second_difference_matrix(n):
-    """Second-difference smoothing operator with endpoint anchors.
+def difference_matrix(n):
+    """Smoothing operator D of shape (n + 1, n): the n - 1 first
+    differences r_{i+1} - r_i between two endpoint-anchor rows.
 
-    The two identity rows remove the null space of the interior stencil
-    (linear ramps), so the penalty-dominated limit actually returns the
-    prior. Shape (n, n).
+    The anchors remove the null space of the differences (a constant
+    shift), so the penalty-dominated limit returns the prior.
     """
-    L = np.zeros((n, n))
-    L[0, 0] = 1.0
-    L[-1, -1] = 1.0
-    for i in range(n - 2):
-        L[i + 1, i] = 1.0
-        L[i + 1, i + 1] = -2.0
-        L[i + 1, i + 2] = 1.0
-    L.setflags(write=False)
-    return L
+    D = np.zeros((n + 1, n))
+    D[0, 0] = 1.0
+    D[-1, -1] = 1.0
+    i = np.arange(n - 1)
+    D[i + 1, i] = -1.0
+    D[i + 1, i + 1] = 1.0
+    D.setflags(write=False)
+    return D
 
 
 def _check_radii(radii, problem):
@@ -157,32 +180,46 @@ def _check_radii(radii, problem):
         raise DomainError("areas must be positive")
 
 
-def _evaluate(radii, problem):
-    """Objective at checked radii, and the pieces :func:`_gradient` reuses:
-    Gamma, loss, the residual F(r) - y and smooth = L (r - prior)."""
+def _lam(problem, lam=None):
+    """``lam``, else the problem's; a problem that leaves lambda to the
+    discrepancy principle has none to give."""
+    lam = problem.lam if lam is None else lam
+    if lam is None:
+        raise DomainError("lambda is unset: the problem leaves it to the "
+                          "discrepancy principle")
+    return lam
+
+
+def _evaluate(radii, problem, lam):
+    """Objective at checked radii, and the pieces :func:`_gradient` and
+    the Jacobian reuse: Gamma, loss, the residual F(r) - y and
+    smooth = D (r - prior) / r0."""
     gammas, loss = _interfaces(radii)
     residual = (gammas * loss) @ problem.bursts - problem.observed.samples
-    smooth = second_difference_matrix(problem.grid.nx) @ (radii - problem.prior)
-    f = 0.5 * float(residual @ residual) + problem.lam * float(smooth @ smooth)
+    smooth = difference_matrix(problem.grid.nx) @ (radii - problem.prior) \
+        / problem.model.r0
+    f = 0.5 * float(residual @ residual) + lam * float(smooth @ smooth)
     return f, (gammas, loss, residual, smooth)
 
 
-def _gradient(radii, problem, pieces):
+def _gradient(radii, problem, lam, pieces):
     """Exact gradient at ``radii`` from the ``pieces`` of its evaluation."""
     gammas, loss, residual, smooth = pieces
-    L = second_difference_matrix(problem.grid.nx)
+    D = difference_matrix(problem.grid.nx)
     g = _adjoint(radii, gammas, loss, problem.bursts @ residual) \
-        + 2 * problem.lam * (L.T @ smooth)
+        + (2 * lam / problem.model.r0) * (D.T @ smooth)
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite gradient")
     return g
 
 
-def objective(radii, problem: InverseProblem):
-    """Data misfit plus smoothing penalty; see module docstring."""
+def objective(radii, problem: InverseProblem, lam=None):
+    """Data misfit plus smoothing penalty; see module docstring. ``lam``
+    defaults to ``problem.lam``."""
     radii = np.asarray(radii, dtype=float)
     _check_radii(radii, problem)
-    return _evaluate(radii, problem)[0]
+    lam = _lam(problem, lam)
+    return _evaluate(radii, problem, lam)[0]
 
 
 def gradient(radii, problem: InverseProblem, options: SolverOptions):
@@ -192,7 +229,8 @@ def gradient(radii, problem: InverseProblem, options: SolverOptions):
     """
     radii = np.asarray(radii, dtype=float)
     _check_radii(radii, problem)
-    return _gradient(radii, problem, _evaluate(radii, problem)[1])
+    lam = _lam(problem)
+    return _gradient(radii, problem, lam, _evaluate(radii, problem, lam)[1])
 
 
 def central_gradient(radii, problem, options):
@@ -214,74 +252,144 @@ def central_gradient(radii, problem, options):
     return g
 
 
-def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
-    """Projected gradient descent with backtracking line search.
+def noise_sigma(problem: InverseProblem):
+    """Noise level of the observed echo, estimated from the echo itself.
 
-    The projection clips iterates to the bound box. Accepted objective
-    values are non-increasing; line-search failure is reported through
-    ``converged=False`` rather than an exception.
+    B has nx - 1 rows and more columns than that, so the part of y outside
+    B's row space is pure noise:
+    sigma^2 = ||y - B^T (B B^T)^-1 B y||^2 / (n_samples - (nx - 1)).
+    """
+    B, y = problem.bursts, problem.observed.samples
+    dof = B.shape[1] - B.shape[0]
+    if dof < 1:
+        raise DomainError(
+            f"an echo of {B.shape[1]} samples cannot show its noise level "
+            f"behind {B.shape[0]} interfaces; set [solver] lambda")
+    outside = y - np.linalg.solve(B @ B.T, B @ y) @ B
+    return math.sqrt(float(outside @ outside) / dof)
+
+
+def _levenberg_marquardt(x, lam, problem, options):
+    """Minimize :func:`objective` at fixed ``lam`` from ``x``.
+
+    Each trial solves (H + mu diag(H)) dr = -g, where H = J^T J + P is the
+    Gauss-Newton Hessian with P the penalty's, and clips x + dr to the
+    bounds. Radii on a bound that the gradient pushes outward stay there,
+    and H and g are restricted to the others. A trial that does not lower
+    the objective multiplies mu by 10. An accepted one divides mu by 10
+    when the objective fell by more than 3/4 of the Gauss-Newton model's
+    prediction, and multiplies it by 10 when by less than 1/4. The solve
+    has converged once -g.dr, the gradient's squared norm in the damped
+    Gauss-Newton metric, is at most ``options.grad_tol`` times the
+    objective, or once the gradient vanishes. Returns x, its objective
+    and the pieces of its evaluation, the trial count and the converged
+    flag.
+    """
+    r_min, r_max = problem.bounds
+    D = difference_matrix(problem.grid.nx)
+    hess_penalty = (2 * lam / problem.model.r0**2) * (D.T @ D)
+    f, pieces = _evaluate(x, problem, lam)
+    mu = MU_MIN
+    trials = 0
+    while True:
+        gammas, loss, residual, _ = pieces
+        jac = problem.bursts.T @ _jacobian(x, gammas, loss)
+        g = jac.T @ residual + hess_penalty @ (x - problem.prior)
+        free = ((x > r_min) | (g < 0)) & ((x < r_max) | (g > 0))
+        g = g[free]
+        if not g.any():
+            return x, f, pieces, trials, True
+        hess = (jac.T @ jac + hess_penalty)[np.ix_(free, free)]
+        scale = np.diag(hess)
+        while True:
+            if trials == options.max_iter:
+                return x, f, pieces, trials, False
+            trials += 1
+            damped = hess.copy()
+            damped.flat[::g.size + 1] += mu * scale
+            step = np.linalg.solve(damped, -g)
+            if -float(g @ step) <= options.grad_tol * f:
+                return x, f, pieces, trials, True
+            x_new = x.copy()
+            x_new[free] += step
+            # the clipped point lies in the validated bounds: no check
+            np.clip(x_new, r_min, r_max, out=x_new)
+            f_new, pieces_new = _evaluate(x_new, problem, lam)
+            if not np.isfinite(f_new):
+                raise NumericalError("non-finite objective in a "
+                                     "Levenberg-Marquardt trial")
+            if f_new < f:
+                break
+            mu *= 10.0
+        step = (x_new - x)[free]
+        predicted = -float(g @ step + 0.5 * step @ hess @ step)
+        gain = (f - f_new) / predicted if predicted > 0 else 0.0
+        if gain > 0.75:
+            mu = max(mu / 10.0, MU_MIN)
+        elif gain < 0.25:
+            mu *= 10.0
+        x, f, pieces = x_new, f_new, pieces_new
+
+
+def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
+    """Bound-clipped Levenberg-Marquardt from the prior, at the problem's
+    lambda or at the discrepancy principle's (see module docstring).
+
+    ``iterations`` counts the Levenberg-Marquardt trials of every solve.
+    ``converged`` means the last solve converged and, under the
+    discrepancy principle, that the residual met its target or lambda
+    stopped at an end of [LAMBDA_MIN, LAMBDA_MAX]. Non-convergence is
+    reported, not raised; a non-finite value raises NumericalError.
     """
     if options is None:
         options = SolverOptions()
-    r_min, r_max = problem.bounds
-    x = np.clip(problem.prior.copy(), r_min, r_max)
-    f = objective(x, problem)
-    if not np.isfinite(f):
+    x = problem.prior.copy()
+    # the penalty vanishes at the prior, whatever lambda will be
+    if not np.isfinite(objective(x, problem, lam=0.0)):
         raise NumericalError("non-finite objective at the start point")
 
-    g = gradient(x, problem, options)
-    g_norm0 = float(np.linalg.norm(g))
-    g_norm = g_norm0
-
-    def residual_norm(radii):
-        return float(np.linalg.norm(problem.forward(radii)
-                                    - problem.observed.samples))
-
-    if f <= OBJ_FLOOR or g_norm0 == 0.0:
-        return InverseSolution(radii=x, residual_norm=residual_norm(x),
-                               objective_value=f, iterations=0, converged=True,
-                               gradient_norm_final=g_norm0)
-
-    # initial step sized so the first trial moves ~1% of the prior scale
-    t = 0.01 * float(np.max(np.abs(x))) / float(np.max(np.abs(g)))
-    converged = False
-    it = 0
-    for it in range(1, options.max_iter + 1):
-        accepted = False
-        t_try = t
-        for _ in range(60):
-            x_new = np.clip(x - t_try * g, r_min, r_max)
-            step = x_new - x
-            if np.all(step == 0):
+    if problem.lam is not None:
+        lam, sigma = problem.lam, None
+        x, f, pieces, iterations, converged = _levenberg_marquardt(
+            x, lam, problem, options)
+    else:
+        sigma = noise_sigma(problem)
+        target = problem.observed.samples.size * (DISCREPANCY_TAU * sigma)**2
+        iterations = 0
+        log_lam, prev = 0.0, None  # lambda = 1 first
+        for _ in range(MAX_LAMBDA_SOLVES):
+            lam = math.exp(log_lam)
+            x, f, pieces, trials, converged = _levenberg_marquardt(
+                x, lam, problem, options)
+            iterations += trials
+            misfit = float(pieces[2] @ pieces[2])
+            if not converged or abs(misfit - target) <= \
+                    DISCREPANCY_RTOL * target:
                 break
-            # x_new lies in the validated bounds, so it needs no check
-            f_new, pieces = _evaluate(x_new, problem)
-            if not np.isfinite(f_new):
-                raise NumericalError("non-finite objective in the line search")
-            # Armijo sufficient decrease on the projected step
-            if f_new <= f + LS_C1 * float(g @ step):
-                accepted = True
+            phi = math.log(misfit / target) if misfit > 0 and target > 0 \
+                else math.copysign(math.inf, misfit - target)
+            # secant on phi against log lambda, at slope 1 until two solves
+            # show a positive one; an infinite phi moves one decade
+            slope = 1.0
+            if prev is not None:
+                secant = (phi - prev[1]) / (log_lam - prev[0])
+                if 0 < secant < math.inf:
+                    slope = secant
+            step = -phi / slope if math.isfinite(phi) \
+                else -math.copysign(math.log(10.0), phi)
+            new = min(max(log_lam + step, math.log(LAMBDA_MIN)),
+                      math.log(LAMBDA_MAX))
+            if new == log_lam:  # at an end of the range and pushing past it
                 break
-            t_try *= LS_SHRINK
-        if not accepted:
-            break
-        step_rel = float(np.linalg.norm(step)) / max(float(np.linalg.norm(x)), 1e-300)
-        g_new = _gradient(x_new, problem, pieces)
-        # Barzilai-Borwein spectral step seeds the next line search
-        dg = g_new - g
-        sg = float(step @ dg)
-        t = float(step @ step) / sg if sg > 0 else t_try / LS_SHRINK
-        x, f, g = x_new, f_new, g_new
-        g_norm = float(np.linalg.norm(g))
-        if g_norm <= options.grad_tol * g_norm0 or f <= OBJ_FLOOR:
-            converged = True
-            break
-        if step_rel < options.step_tol:
-            converged = True
-            break
-    return InverseSolution(radii=x, residual_norm=residual_norm(x),
-                           objective_value=f, iterations=it,
-                           converged=converged, gradient_norm_final=g_norm)
+            prev, log_lam = (log_lam, phi), new
+        else:
+            converged = False
+    g = _gradient(x, problem, lam, pieces)
+    return InverseSolution(
+        radii=x, residual_norm=float(np.linalg.norm(pieces[2])),
+        objective_value=f, iterations=iterations, converged=converged,
+        gradient_norm_final=float(np.linalg.norm(g)), lam=lam,
+        noise_sigma=sigma)
 
 
 SOLVER_NAME = "gauss-descent"

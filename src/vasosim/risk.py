@@ -212,7 +212,10 @@ def logistic_provider(weights, bias, horizon_decay=0.0):
 class LlmProvider:
     """Remote likelihood provider speaking the JSON wire protocol.
 
-    Retries transient transport failures with exponential backoff. The
+    Retries transient failures with exponential backoff: transport
+    errors, timeouts, and 5xx and 429 answers, waiting a numeric
+    ``Retry-After`` (capped at ``timeout``) where the answer gives one.
+    Any other non-2xx status raises TransportError at once. The
     optional ``recommendation`` from the last successful response is kept
     on ``last_recommendation``.
 
@@ -250,6 +253,7 @@ class LlmProvider:
         }
         last_exc = None
         for attempt in range(self.max_retries + 1):
+            delay = self.backoff * 2**attempt
             try:
                 resp = self._http.post(self.endpoint, json=body,
                                        timeout=self.timeout)
@@ -261,24 +265,42 @@ class LlmProvider:
                 last_exc = TransportError(f"transport failure: {exc}")
                 last_exc.__cause__ = exc
             else:
-                if not 200 <= resp.status_code < 300:
-                    raise TransportError(
-                        f"{self.endpoint} answered status {resp.status_code}")
-                try:
-                    payload = resp.json()
-                except ValueError as exc:
-                    raise ProtocolError("response is not valid JSON") from exc
-                if not isinstance(payload, dict) or "probability" not in payload:
-                    raise ProtocolError("response lacks a 'probability' field")
-                p = _validate_probability(payload["probability"], self.endpoint)
-                rec = payload.get("recommendation")
-                if rec is not None and not isinstance(rec, str):
-                    raise ProtocolError("'recommendation' must be a string")
-                self.last_recommendation = rec
-                return p
+                status = resp.status_code
+                if 200 <= status < 300:
+                    return self._parse(resp)
+                last_exc = TransportError(
+                    f"{self.endpoint} answered status {status}")
+                if not (status == 429 or 500 <= status < 600):
+                    raise last_exc
+                delay = self._retry_after(resp, delay)
             if attempt < self.max_retries:
-                time.sleep(self.backoff * 2**attempt)
+                time.sleep(delay)
         raise last_exc
+
+    def _retry_after(self, resp, default):
+        """A numeric Retry-After header in seconds, capped at the timeout;
+        ``default`` without one."""
+        try:
+            seconds = float(resp.headers.get("Retry-After", ""))
+        except ValueError:
+            return default
+        if not seconds >= 0:  # NaN and negative values too
+            return default
+        return min(seconds, self.timeout)
+
+    def _parse(self, resp):
+        try:
+            payload = resp.json()
+        except ValueError as exc:
+            raise ProtocolError("response is not valid JSON") from exc
+        if not isinstance(payload, dict) or "probability" not in payload:
+            raise ProtocolError("response lacks a 'probability' field")
+        p = _validate_probability(payload["probability"], self.endpoint)
+        rec = payload.get("recommendation")
+        if rec is not None and not isinstance(rec, str):
+            raise ProtocolError("'recommendation' must be a string")
+        self.last_recommendation = rec
+        return p
 
 
 def llm_provider(endpoint, **kwargs):
@@ -331,10 +353,17 @@ def dispatch_alert(tte: TTEResult, prob_now, policy: AlertPolicy, sink,
     """Build the alert payload and classify severity per policy; write it to
     ``sink`` unless the severity is "info".
 
+    "critical" when ``prob_now`` reaches ``critical_prob``, or when the
+    episode peak is within ``critical_horizon`` steps and its probability
+    ``tte.max_prob`` reaches ``warn_prob``; otherwise "warn" when
+    ``prob_now`` reaches ``warn_prob``, else "info".
+
     The payload is returned even when the sink write fails (the failure is
     re-raised as DispatchError after attaching the payload).
     """
-    if prob_now >= policy.critical_prob or tte.tte_step <= policy.critical_horizon:
+    imminent = tte.tte_step <= policy.critical_horizon \
+        and tte.max_prob >= policy.warn_prob
+    if prob_now >= policy.critical_prob or imminent:
         severity = "critical"
     elif prob_now >= policy.warn_prob:
         severity = "warn"

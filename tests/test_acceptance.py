@@ -260,6 +260,8 @@ class TestAcceptance:
                 assert results[-1]["prob_now"] > results[0]["prob_now"]
                 for rec in results:
                     crossed = (rec["prob_now"] >= cfg.policy.critical_prob
-                               or rec["tte"]["tte_step"]
-                               <= cfg.policy.critical_horizon)
+                               or (rec["tte"]["tte_step"]
+                                   <= cfg.policy.critical_horizon
+                                   and rec["tte"]["max_prob"]
+                                   >= cfg.policy.warn_prob))
                     assert (rec["severity"] == "critical") == crossed

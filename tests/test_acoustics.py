@@ -209,6 +209,43 @@ class TestSynthesizeEcho:
                                fs=self.fs, duration=1e-8)
 
 
+class TestJacobian:
+    """The closed-form dw/dr against the adjoint and the forward map."""
+
+    def columns(self, model):
+        rng = np.random.default_rng(8)
+        return [model.r0 * (1 + 0.2 * rng.uniform(-1, 1, 24))
+                for _ in range(5)]
+
+    def test_matches_adjoint_on_unit_vectors(self, model):
+        for r in self.columns(model):
+            gammas, loss = ac._interfaces(r)
+            jac = ac._jacobian(r, gammas, loss)
+            assert jac.shape == (r.size - 1, r.size)
+            for m, unit in enumerate(np.eye(r.size - 1)):
+                adjoint = ac._adjoint(r, gammas, loss, unit)
+                assert np.max(np.abs(jac[m] - adjoint)) \
+                    <= 1e-12 * np.max(np.abs(jac))
+
+    def test_matches_central_differences_of_forward(self, model, pulse):
+        grid = make_grid(24)
+        fs = 8e5
+        bursts = ac.burst_matrix(pulse, grid, fs, 2.4 * 24 * grid.dx / pulse.c)
+        for r in self.columns(model):
+            jac = bursts.T @ ac._jacobian(r, *ac._interfaces(r))
+            central = np.empty_like(jac)
+            for i in range(r.size):
+                h = 1e-6 * r[i]
+                probe = r.copy()
+                probe[i] = r[i] + h
+                plus = ac.reflectivity(probe) @ bursts
+                probe[i] = r[i] - h
+                minus = ac.reflectivity(probe) @ bursts
+                central[:, i] = (plus - minus) / (2 * h)
+            assert np.max(np.abs(jac - central)) \
+                < 1e-8 * np.max(np.abs(jac))
+
+
 def _band_limited_signal(rng, n, fs, cutoff_frac=0.1):
     spec = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
     f = np.fft.rfftfreq(n, 1 / fs)

@@ -33,9 +33,10 @@ SMALL = {
 
 
 # SHA-256 of the pipeline's result files for PINNED_PIPELINE and seed 5,
-# recorded with numpy 2.4 on x86-64. With noise and 40 iterations the
-# solutions depend on every solver step, so a mismatch means the
-# inversion's arithmetic changed, not only its speed.
+# recorded with numpy 2.4 on x86-64. With noise the solutions depend on
+# every Levenberg-Marquardt trial and on the discrepancy principle's
+# lambda, so a mismatch means the inversion's arithmetic changed, not only
+# its speed.
 PINNED_PIPELINE = {
     **SMALL,
     "scenario": {**SMALL["scenario"], "noise_rms": 0.01},
@@ -43,23 +44,24 @@ PINNED_PIPELINE = {
 }
 PINNED_PIPELINE_DIGESTS = {
     "results.json":
-        "8659eace78b299db32f7476d58245fa0def0bad464b931c0b5c6790c9c2a9e95",
+        "30173d7f572ccd954b5fa7a739591da66e63fbf7db2b913b80339ec032c310f4",
     "alerts.jsonl":
-        "50b6f9f228aaecdf1052a10693c4ba10de1ecef9d9468af80b806a84c2c3fac8",
+        "f8f1a27de26d883f46c480b99a122ca2c8bef70f80fbb81ad2ea1d9298a6ac46",
     "solution_0000.json":
-        "b69393243b2a1cdbfd9a3f61df890b7d1df6bd5c3c48967a16360b12512b4280",
+        "3825684e36c4bab5e5f9b468e308e46b6e733e325b1f87a2e3878b5cfef37ab9",
     "solution_0001.json":
-        "d119a6dc601c21ccb3b012becc542a96361bfb749483f596f89dc7382fa36309",
+        "f64162a4f241971c757865d4520dcd63905da1d372e3893d92e882113a291268",
 }
 
 
 # Sections and keys load_config does not declare: an unknown section, a
-# misspelt key, a key deleted earlier and the five keys nothing read.
+# misspelt key, keys deleted earlier and the five keys nothing read.
 UNDECLARED = {
     "section": "[solverr]\nmax_iter = 3\n",
     "empty-section": "[solverr]\n",
     "misspelt": "[solver]\nmax_iters = 3\n",
     "fd_step": "[solver]\nfd_step = 1e-6\n",
+    "step_tol": "[solver]\nstep_tol = 1e-12\n",
     "mu": "[model]\nmu = 3.5e-3\n",
     "rho": "[model]\nrho = 1060\n",
     "c0": "[model]\nc0 = 1540\n",
@@ -565,6 +567,22 @@ class TestGenDataAndPipeline:
                    for p in out.iterdir() if p.is_file()
                    and p.name != "pipeline_manifest.json"}
         assert digests == PINNED_PIPELINE_DIGESTS
+
+    def test_default_depth_tracks_truth(self, tmp_path, monkeypatch):
+        # the run users launch: built-in defaults, 1% noise, and lambda from
+        # the discrepancy principle
+        monkeypatch.delenv(cli.DEFAULT_CONFIG_ENV, raising=False)
+        cfg = cli.load_config(None)
+        errors = []
+        for seed in range(6):
+            out = tmp_path / f"seed{seed}"
+            _, results = cli.cmd_pipeline(cfg, str(out), seed=seed)
+            truth = synthdata.read_dataset(out / "dataset")
+            for rec, sess in zip(results, truth):
+                assert rec["converged"], (seed, rec["session"])
+                depth = 1.0 - float(np.min(sess.radii_truth)) / cfg.model.r0
+                errors.append(abs(rec["stenosis_index"] - depth))
+        assert np.mean(errors) < 0.10
 
     def test_pipeline_deterministic(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -120,8 +120,8 @@ class TestGradient:
         truth = stenotic_column(model, 64, 32, 2.0, 0.2)
         problem = make_problem(model, pulse, truth, lam=lam)
         gf = inv.gradient(truth, problem, inv.SolverOptions())
-        L = inv.second_difference_matrix(64)
-        expected = 2 * lam * (L.T @ L @ (truth - problem.prior))
+        D = inv.difference_matrix(64)
+        expected = 2 * lam / model.r0**2 * (D.T @ D @ (truth - problem.prior))
         rel = np.linalg.norm(gf - expected) / np.linalg.norm(expected)
         assert rel < 1e-6
 
@@ -168,16 +168,16 @@ class TestInvertRadii:
         evaluate = inv._evaluate
         calls = []
 
-        def nan_after_start(radii, problem):
+        def nan_after_start(radii, problem, lam):
             calls.append(None)
-            f, pieces = evaluate(radii, problem)
+            f, pieces = evaluate(radii, problem, lam)
             return (f if len(calls) < 4 else np.nan), pieces
 
         monkeypatch.setattr(inv, "_evaluate", nan_after_start)
-        with pytest.raises(NumericalError, match="line search"):
+        with pytest.raises(NumericalError, match="Levenberg-Marquardt"):
             inv.invert_radii(problem, inv.SolverOptions(max_iter=20))
-        # the start point and its gradient take one evaluation each, so the
-        # first NaN trial is the one that raised
+        # the start check, the solve's start point and its first trial take
+        # one evaluation each, so the second trial is the one that raised
         assert len(calls) == 4
 
     def test_penalty_dominated_limit(self, model, pulse):
@@ -209,6 +209,87 @@ class TestInvertRadii:
         a = inv.invert_radii(problem, inv.SolverOptions(max_iter=30))
         b = inv.invert_radii(problem, inv.SolverOptions(max_iter=30))
         assert np.array_equal(a.radii, b.radii)
+
+
+class TestDiscrepancyPrinciple:
+    @pytest.mark.parametrize("nx", [16, 32, 64])
+    def test_noise_sigma_recovers_known_noise(self, model, pulse, nx):
+        # signals in B's row space plus noise of known sigma; one echo of
+        # the default length has only n_samples - (nx - 1) = nx/4 + 1
+        # samples of pure noise, so the estimate is pooled over 20 echoes
+        grid = make_grid(nx)
+        duration = 2.4 * nx * grid.dx / pulse.c
+        bursts = ac.burst_matrix(pulse, grid, FS, duration)
+        sigma = 0.01
+        estimates = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            samples = rng.normal(0, 0.1, nx - 1) @ bursts \
+                + rng.normal(0, sigma, bursts.shape[1])
+            problem = inv.InverseProblem(
+                observed=ac.EchoTrace(samples=samples, fs=FS), pulse=pulse,
+                grid=grid, model=model)
+            estimates.append(inv.noise_sigma(problem))
+        pooled = np.sqrt(np.mean(np.square(estimates)))
+        assert abs(pooled - sigma) < 0.3 * sigma
+
+    def test_noise_sigma_ignores_signal(self, model, pulse):
+        truth = stenotic_column(model, 64, 32, 2.0, 0.3)
+        problem = make_problem(model, pulse, truth, lam=None)
+        scale = np.max(np.abs(problem.observed.samples))
+        assert inv.noise_sigma(problem) < 1e-12 * scale
+
+    def test_short_echo_rejected(self, model, pulse):
+        truth = stenotic_column(model, 32, 16, 2.0, 0.2)
+        grid = make_grid(32)
+        duration = 2 * 32 * grid.dx / pulse.c  # 21 samples, 31 interfaces
+        obs = ac.synthesize_echo(truth, pulse, grid, model, fs=FS / 1.6,
+                                 duration=duration)
+        problem = inv.InverseProblem(observed=obs, pulse=pulse, grid=grid,
+                                     model=model)
+        with pytest.raises(DomainError, match="lambda"):
+            inv.invert_radii(problem)
+
+    def test_noise_free_lambda_on_floor(self, model, pulse):
+        truth = stenotic_column(model, 64, 32, 2.0, 0.2)
+        sol = inv.invert_radii(make_problem(model, pulse, truth, lam=None))
+        assert sol.converged
+        assert sol.lam == pytest.approx(inv.LAMBDA_MIN)
+        err = np.linalg.norm(sol.radii - truth) / np.linalg.norm(truth)
+        assert err < 0.05  # criterion 8's noise-free bound
+
+    def test_noisy_residual_meets_target(self, model, pulse):
+        truth = stenotic_column(model, 64, 32, 2.0, 0.2)
+        problem = make_problem(model, pulse, truth, lam=None, noise=0.01,
+                               seed=123)
+        sol = inv.invert_radii(problem)
+        assert sol.converged
+        assert inv.LAMBDA_MIN < sol.lam < inv.LAMBDA_MAX
+        target = problem.observed.samples.size \
+            * (inv.DISCREPANCY_TAU * sol.noise_sigma)**2
+        assert abs(sol.residual_norm**2 - target) \
+            <= inv.DISCREPANCY_RTOL * target
+        assert sol.objective_value == inv.objective(sol.radii, problem,
+                                                    lam=sol.lam)
+        err = np.linalg.norm(sol.radii - truth) / np.linalg.norm(truth)
+        assert err < 0.10  # criterion 8's noisy bound
+        record = sol.to_dict()
+        assert (record["lambda"], record["noise_sigma"]) \
+            == (sol.lam, sol.noise_sigma)
+
+    def test_fixed_lambda_reports_no_sigma(self, model, pulse):
+        truth = stenotic_column(model, 32, 16, 2.0, 0.2)
+        sol = inv.invert_radii(make_problem(model, pulse, truth, lam=0.5))
+        assert (sol.lam, sol.noise_sigma) == (0.5, None)
+
+    def test_objective_needs_a_lambda(self, model, pulse):
+        truth = stenotic_column(model, 32, 16, 2.0, 0.2)
+        problem = make_problem(model, pulse, truth, lam=None)
+        with pytest.raises(DomainError, match="lambda"):
+            inv.objective(truth, problem)
+        # the penalty vanishes at the prior
+        assert inv.objective(problem.prior, problem, lam=1.0) \
+            == inv.objective(problem.prior, problem, lam=0.0) > 0
 
 
 class TestRegistry:

@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -191,9 +192,12 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).requests_seen.append(body)
-        status, payload = type(self).behavior(body)
+        # behavior returns (status, payload) or (status, payload, headers)
+        status, payload, *headers = type(self).behavior(body)
         data = json.dumps(payload).encode() if payload is not None else b"x"
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -254,6 +258,44 @@ class TestLlmProvider:
         with pytest.raises(TransportError):
             provider(make_report(), 0)
 
+    def test_server_error_then_success_retried(self, stub_server):
+        handler, url = stub_server
+        answers = iter([(503, {"error": "busy"}), (200, {"probability": 0.7})])
+        handler.behavior = staticmethod(lambda body: next(answers))
+        provider = risk.llm_provider(url, timeout=2.0, backoff=0.01)
+        assert provider(make_report(), 0) == 0.7
+        assert len(handler.requests_seen) == 2
+
+    def test_too_many_requests_honours_retry_after(self, stub_server):
+        handler, url = stub_server
+        answers = iter([(429, None, {"Retry-After": "0"}),
+                        (200, {"probability": 0.2})])
+        handler.behavior = staticmethod(lambda body: next(answers))
+        # the zero Retry-After, not this backoff, is what the retry waits
+        provider = risk.llm_provider(url, timeout=2.0, backoff=5.0)
+        start = time.monotonic()
+        assert provider(make_report(), 0) == 0.2
+        assert time.monotonic() - start < 2.5
+        assert len(handler.requests_seen) == 2
+
+    def test_retry_after_capped_at_timeout(self):
+        provider = risk.llm_provider("http://127.0.0.1:1/", timeout=0.5)
+
+        class Answer:
+            headers = {"Retry-After": "3600"}
+
+        assert provider._retry_after(Answer, 0.1) == 0.5
+        Answer.headers = {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}
+        assert provider._retry_after(Answer, 0.1) == 0.1
+
+    def test_client_error_not_retried(self, stub_server):
+        handler, url = stub_server
+        handler.behavior = staticmethod(lambda body: (404, {"error": "no"}))
+        provider = risk.llm_provider(url, timeout=2.0, backoff=0.01)
+        with pytest.raises(TransportError, match="404"):
+            provider(make_report(), 0)
+        assert len(handler.requests_seen) == 1
+
     def test_timeout_after_retries(self, stub_server):
         handler, url = stub_server
 
@@ -298,16 +340,18 @@ class TestDispatch:
                                   warn_prob=0.5)
         sink = risk.FileSink(tmp_path / "alerts.jsonl")
         cases = [
-            (0.9, 5, "critical"),   # probability threshold
-            (0.1, 2, "critical"),   # imminent horizon
-            (0.6, 5, "warn"),
-            (0.1, 5, "info"),
+            (0.9, 5, 0.6, "critical"),   # probability threshold
+            (0.1, 2, 0.5, "critical"),   # imminent and likely episode
+            (0.1, 2, 0.49, "info"),      # imminent but unlikely episode
+            (0.6, 5, 0.6, "warn"),
+            (0.1, 5, 0.6, "info"),
         ]
-        for i, (prob_now, step, expected) in enumerate(cases):
-            payload = risk.dispatch_alert(self.make_tte(step=step), prob_now,
-                                          policy, sink, "s0000", float(i))
+        for i, (prob_now, step, max_prob, expected) in enumerate(cases):
+            payload = risk.dispatch_alert(
+                self.make_tte(step=step, max_prob=max_prob), prob_now,
+                policy, sink, "s0000", float(i))
             assert payload.severity == expected
-        # the info-severity alert is not written to the sink
+        # the info-severity alerts are not written to the sink
         written = (tmp_path / "alerts.jsonl").read_text().splitlines()
         assert [json.loads(line)["severity"] for line in written] \
             == ["critical", "critical", "warn"]
