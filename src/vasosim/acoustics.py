@@ -10,10 +10,10 @@ and factors as ``w(r) @ B``: the burst matrix B holds one windowed
 arrival per impedance interface, delayed by the round trip 2x/c, and the
 reflectivity w scales each by the reflection coefficient times the
 accumulated transmission loss; multiple reflections are ignored. B
-depends only on the grid and the sampling. The inversion's gradient
-applies :func:`_adjoint`, the exact (dw/dr)^T v, and its Jacobian is
-B^T :func:`_jacobian`, the same derivative as a matrix, so synthesis and
-inversion share one forward operator and its derivative.
+depends only on the grid and the sampling. The inversion's Jacobian is
+B^T :func:`_jacobian`, the exact dw/dr in closed form, and its gradient
+and Levenberg-Marquardt steps both come from it, so synthesis and
+inversion share one forward operator and its one derivative.
 """
 from __future__ import annotations
 
@@ -277,27 +277,9 @@ def _dgamma_dr(r):
     return 4 * r_l * r_r**2 / s2, -4 * r_l**2 * r_r / s2
 
 
-def _adjoint(r, gammas, loss, v):
-    """(dw/dr)^T v for the weights w of :func:`reflectivity`, in O(nx),
-    from the :func:`_interfaces` of r.
-
-    dw/dGamma is lower-triangular:
-    u_m = loss_m v_m - 2 Gamma_m/(1 - Gamma_m^2) sum_{i>m} w_i v_i,
-    and dGamma/dr is the bidiagonal of :func:`_dgamma_dr`.
-    """
-    wv = gammas * loss * v
-    beyond = np.concatenate((np.cumsum(wv[::-1])[::-1][1:], [0.0]))
-    u = loss * v - 2 * gammas / (1 - gammas**2) * beyond
-    d_left, d_right = _dgamma_dr(r)
-    g = np.zeros(r.size)
-    g[:-1] += u * d_left
-    g[1:] += u * d_right
-    return g
-
-
 def _jacobian(r, gammas, loss):
-    """dw/dr of shape (nx - 1, nx), the matrix whose transpose
-    :func:`_adjoint` applies, from the :func:`_interfaces` of r.
+    """dw/dr of shape (nx - 1, nx) for the weights w of
+    :func:`reflectivity`, from the :func:`_interfaces` of r.
 
     dw/dGamma = diag(loss) + tril(w c^T, -1) with c = -2 Gamma/(1 - Gamma^2),
     times the bidiagonal dGamma/dr of :func:`_dgamma_dr`.

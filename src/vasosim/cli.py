@@ -90,7 +90,7 @@ KEYS = {
                  "noise_rms": Key(float, 0.01), "sessions": Key(int, 3),
                  "seed": Key(int, ScenarioSpec.seed, "--seed")},
     "simulate": {"inlet_amplitude": Key(float, 0.0),
-                 "inlet_frequency": Key(float, 0.0), "bc": Key(str, "inlet")},
+                 "inlet_frequency": Key(float, 0.0)},
 }
 
 
@@ -121,7 +121,6 @@ class RunConfig:
     seed: int
     inlet_amplitude: float
     inlet_frequency: float
-    bc: str
 
 
 def load_config(path=None, overrides=None):
@@ -192,12 +191,6 @@ def load_config(path=None, overrides=None):
             raise ConfigurationError("horizon must be >= 1")
         if cfg.provider_name == "llm" and not cfg.endpoint:
             raise ConfigurationError("llm provider requires an endpoint")
-        if cfg.bc not in ("periodic", "inlet"):
-            raise ConfigurationError(f"unknown boundary condition {cfg.bc!r}")
-        if cfg.bc == "periodic" and cfg.inlet_amplitude != 0.0:
-            raise ConfigurationError(
-                "[simulate] inlet_amplitude needs bc = inlet; periodic ends "
-                "have no inlet")
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc
     return cfg
@@ -229,7 +222,7 @@ def cmd_simulate(cfg: RunConfig, out_dir):
     else:
         inlet = None
     radii_field, states = hemogrid.solve_flow(cfg.model, g, inlet=inlet,
-                                              bc=cfg.bc)
+                                              bc="inlet")
     radii_path = os.path.join(out_dir, "radii.csv")
     hemogrid.write_radii_csv(radii_path, radii_field)
     volumes = np.array([float(np.sum(s.area)) * g.dx for s in states])

@@ -29,7 +29,6 @@ import numpy as np
 from .acoustics import (
     EchoTrace,
     PulseSpec,
-    _adjoint,
     _interfaces,
     _jacobian,
     burst_matrix,
@@ -191,26 +190,32 @@ def _lam(problem, lam=None):
 
 
 def _evaluate(radii, problem, lam):
-    """Objective at checked radii, and the pieces :func:`_gradient` and
-    the Jacobian reuse: Gamma, loss, the residual F(r) - y and
-    smooth = D (r - prior) / r0."""
+    """Objective at checked radii, and the pieces :func:`_linearize`
+    reuses: Gamma, loss and the residual F(r) - y."""
     gammas, loss = _interfaces(radii)
     residual = (gammas * loss) @ problem.bursts - problem.observed.samples
     smooth = difference_matrix(problem.grid.nx) @ (radii - problem.prior) \
         / problem.model.r0
     f = 0.5 * float(residual @ residual) + lam * float(smooth @ smooth)
-    return f, (gammas, loss, residual, smooth)
+    return f, (gammas, loss, residual)
 
 
-def _gradient(radii, problem, lam, pieces):
-    """Exact gradient at ``radii`` from the ``pieces`` of its evaluation."""
-    gammas, loss, residual, smooth = pieces
+def _penalty_hessian(problem, lam):
+    """P = (2 lambda / r0^2) D^T D, the Hessian of the smoothing penalty."""
     D = difference_matrix(problem.grid.nx)
-    g = _adjoint(radii, gammas, loss, problem.bursts @ residual) \
-        + (2 * lam / problem.model.r0) * (D.T @ smooth)
+    return (2 * lam / problem.model.r0**2) * (D.T @ D)
+
+
+def _linearize(radii, problem, hess_penalty, pieces):
+    """The echo map's Jacobian J = B^T dw/dr at ``radii`` and the exact
+    gradient J^T (F(r) - y) + P (r - prior) of :func:`objective`, from the
+    ``pieces`` of its evaluation and the penalty Hessian P."""
+    gammas, loss, residual = pieces
+    jac = problem.bursts.T @ _jacobian(radii, gammas, loss)
+    g = jac.T @ residual + hess_penalty @ (radii - problem.prior)
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite gradient")
-    return g
+    return jac, g
 
 
 def objective(radii, problem: InverseProblem, lam=None):
@@ -223,14 +228,16 @@ def objective(radii, problem: InverseProblem, lam=None):
 
 
 def gradient(radii, problem: InverseProblem, options: SolverOptions):
-    """Exact gradient of :func:`objective` by the adjoint of the echo map.
+    """Exact gradient of :func:`objective` from the echo map's Jacobian,
+    as the Levenberg-Marquardt solve assembles it (:func:`_linearize`).
 
     ``options`` is not read; it keeps the signature the solver calls.
     """
     radii = np.asarray(radii, dtype=float)
     _check_radii(radii, problem)
     lam = _lam(problem)
-    return _gradient(radii, problem, lam, _evaluate(radii, problem, lam)[1])
+    return _linearize(radii, problem, _penalty_hessian(problem, lam),
+                      _evaluate(radii, problem, lam)[1])[1]
 
 
 def central_gradient(radii, problem, options):
@@ -281,35 +288,32 @@ def _levenberg_marquardt(x, lam, problem, options):
     prediction, and multiplies it by 10 when by less than 1/4. The solve
     has converged once -g.dr, the gradient's squared norm in the damped
     Gauss-Newton metric, is at most ``options.grad_tol`` times the
-    objective, or once the gradient vanishes. Returns x, its objective
-    and the pieces of its evaluation, the trial count and the converged
-    flag.
+    objective, or once the gradient vanishes. Returns x, its objective,
+    residual F(x) - y and full gradient, the trial count and the
+    converged flag.
     """
     r_min, r_max = problem.bounds
-    D = difference_matrix(problem.grid.nx)
-    hess_penalty = (2 * lam / problem.model.r0**2) * (D.T @ D)
+    hess_penalty = _penalty_hessian(problem, lam)
     f, pieces = _evaluate(x, problem, lam)
     mu = MU_MIN
     trials = 0
     while True:
-        gammas, loss, residual, _ = pieces
-        jac = problem.bursts.T @ _jacobian(x, gammas, loss)
-        g = jac.T @ residual + hess_penalty @ (x - problem.prior)
-        free = ((x > r_min) | (g < 0)) & ((x < r_max) | (g > 0))
-        g = g[free]
+        jac, grad = _linearize(x, problem, hess_penalty, pieces)
+        free = ((x > r_min) | (grad < 0)) & ((x < r_max) | (grad > 0))
+        g = grad[free]
         if not g.any():
-            return x, f, pieces, trials, True
+            return x, f, pieces[2], grad, trials, True
         hess = (jac.T @ jac + hess_penalty)[np.ix_(free, free)]
         scale = np.diag(hess)
         while True:
             if trials == options.max_iter:
-                return x, f, pieces, trials, False
+                return x, f, pieces[2], grad, trials, False
             trials += 1
             damped = hess.copy()
             damped.flat[::g.size + 1] += mu * scale
             step = np.linalg.solve(damped, -g)
             if -float(g @ step) <= options.grad_tol * f:
-                return x, f, pieces, trials, True
+                return x, f, pieces[2], grad, trials, True
             x_new = x.copy()
             x_new[free] += step
             # the clipped point lies in the validated bounds: no check
@@ -350,7 +354,7 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
 
     if problem.lam is not None:
         lam, sigma = problem.lam, None
-        x, f, pieces, iterations, converged = _levenberg_marquardt(
+        x, f, residual, g, iterations, converged = _levenberg_marquardt(
             x, lam, problem, options)
     else:
         sigma = noise_sigma(problem)
@@ -359,10 +363,10 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
         log_lam, prev = 0.0, None  # lambda = 1 first
         for _ in range(MAX_LAMBDA_SOLVES):
             lam = math.exp(log_lam)
-            x, f, pieces, trials, converged = _levenberg_marquardt(
+            x, f, residual, g, trials, converged = _levenberg_marquardt(
                 x, lam, problem, options)
             iterations += trials
-            misfit = float(pieces[2] @ pieces[2])
+            misfit = float(residual @ residual)
             if not converged or abs(misfit - target) <= \
                     DISCREPANCY_RTOL * target:
                 break
@@ -384,9 +388,8 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
             prev, log_lam = (log_lam, phi), new
         else:
             converged = False
-    g = _gradient(x, problem, lam, pieces)
     return InverseSolution(
-        radii=x, residual_norm=float(np.linalg.norm(pieces[2])),
+        radii=x, residual_norm=float(np.linalg.norm(residual)),
         objective_value=f, iterations=iterations, converged=converged,
         gradient_norm_final=float(np.linalg.norm(g)), lam=lam,
         noise_sigma=sigma)

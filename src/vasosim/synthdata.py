@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -200,28 +200,10 @@ def _atomic_write(path, write):
 
 
 def _spec_to_json(spec: ScenarioSpec):
-    g, m, p = spec.grid, spec.model, spec.pulse
-    return {
-        "kind": spec.kind,
-        "severity": spec.severity,
-        "stenosis_center": spec.stenosis_center,
-        "stenosis_width": spec.stenosis_width,
-        "noise_rms": spec.noise_rms,
-        "seed": spec.seed,
-        "sessions": spec.sessions,
-        "fs": spec.fs,
-        "duration": spec.duration,
-        "horizon": spec.horizon,
-        "occlusion_threshold": spec.occlusion_threshold,
-        "perturbation_pa": spec.perturbation_pa,
-        "grid": {"nx": g.nx, "nt": g.nt, "dx": g.dx, "dt": g.dt,
-                 "s_max": g.s_max, "cfl": g.cfl},
-        "model": {"r0": m.r0, "beta": m.beta, "p_ext": m.p_ext, "rho": m.rho,
-                  "mu": m.mu, "alpha": m.alpha, "re": m.re, "c0": m.c0},
-        "pulse": {"omega": p.omega, "amp_forward": p.amp_forward,
-                  "amp_reflected": p.amp_reflected, "k_x": p.k_x,
-                  "k_r": p.k_r, "c": p.c},
-    }
+    """Every field of the spec and its grid, model and pulse, less the
+    private ones (PulseSpec's dispersion-check flag)."""
+    return asdict(spec, dict_factory=lambda items: {
+        key: value for key, value in items if not key.startswith("_")})
 
 
 def write_dataset(sessions, path, spec: ScenarioSpec):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,9 @@ class TestDiscrepancyPrinciple:
             <= inv.DISCREPANCY_RTOL * target
         assert sol.objective_value == inv.objective(sol.radii, problem,
                                                     lam=sol.lam)
+        assert sol.gradient_norm_final == np.linalg.norm(inv.gradient(
+            sol.radii, dataclasses.replace(problem, lam=sol.lam),
+            inv.SolverOptions()))
         err = np.linalg.norm(sol.radii - truth) / np.linalg.norm(truth)
         assert err < 0.10  # criterion 8's noisy bound
         record = sol.to_dict()
