@@ -1,6 +1,7 @@
 """Desk-scale arterial flow, echo sensing, inversion and episode-risk toolkit."""
 
-from . import acoustics, cli, errors, hemogrid, inversion, risk, synthdata
+# cli is imported on demand, so that runpy can run it as __main__
+from . import acoustics, errors, hemogrid, inversion, risk, synthdata
 
 __all__ = ["acoustics", "cli", "errors", "hemogrid", "inversion", "risk",
            "synthdata"]

@@ -47,6 +47,9 @@ __all__ = [
     "read_echo_csv",
 ]
 
+# cycles in the Hann-windowed incident burst
+N_CYCLES = 5
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -204,23 +207,23 @@ def _reflection(d_left, d_right):
     return (d_left - d_right) / (d_left + d_right)
 
 
-def _windowed_harmonic(pulse: PulseSpec, t, n_cycles):
-    """Hann-windowed real cosine burst of n_cycles starting at t = 0."""
+def _windowed_harmonic(pulse: PulseSpec, t):
+    """Hann-windowed real cosine burst of N_CYCLES starting at t = 0."""
     t = np.asarray(t, dtype=float)
-    t_end = n_cycles * 2 * np.pi / pulse.omega
+    t_end = N_CYCLES * 2 * np.pi / pulse.omega
     inside = (t >= 0) & (t <= t_end)
     window = np.where(inside, 0.5 * (1 - np.cos(2 * np.pi * t / t_end)), 0.0)
     return pulse.amp_forward * window * np.cos(pulse.omega * t)
 
 
-def incident_pulse(pulse: PulseSpec, fs, duration, n_cycles=5, session_id=""):
+def incident_pulse(pulse: PulseSpec, fs, duration, session_id=""):
     """Sampled incident burst used as the reference for ToF estimation."""
     _check_sampling(pulse, fs)
     n = int(round(duration * fs))
     if n < 2:
         raise ConfigurationError("duration too short for the sample rate")
     t = np.arange(n) / fs
-    return EchoTrace(samples=_windowed_harmonic(pulse, t, n_cycles), fs=fs,
+    return EchoTrace(samples=_windowed_harmonic(pulse, t), fs=fs,
                      session_id=session_id)
 
 
@@ -231,7 +234,7 @@ def _check_sampling(pulse, fs):
             f"fs={fs} must exceed 4x the pulse frequency {f0:.3g} Hz")
 
 
-def burst_matrix(pulse: PulseSpec, grid: Grid, fs, duration, n_cycles=5):
+def burst_matrix(pulse: PulseSpec, grid: Grid, fs, duration):
     """Echo basis B of shape (nx - 1, n_samples).
 
     Row i is the incident burst delayed by the round trip 2*x_i/c to the
@@ -245,7 +248,7 @@ def burst_matrix(pulse: PulseSpec, grid: Grid, fs, duration, n_cycles=5):
     t = np.arange(int(round(duration * fs))) / fs
     x_i = (np.arange(grid.nx - 1) + 1) * grid.dx
     delays = 2 * x_i / pulse.c
-    return _windowed_harmonic(pulse, t[None, :] - delays[:, None], n_cycles)
+    return _windowed_harmonic(pulse, t[None, :] - delays[:, None])
 
 
 def _interfaces(r):
@@ -296,8 +299,7 @@ def _jacobian(r, gammas, loss):
 
 
 def synthesize_echo(radii_column, pulse: PulseSpec, grid: Grid,
-                    model: ArteryModel, fs, duration, n_cycles=5,
-                    session_id=""):
+                    model: ArteryModel, fs, duration, session_id=""):
     """Single-scattering echo ``reflectivity(r) @ burst_matrix(...)``.
 
     Each interface between cells i and i+1 contributes a copy of the
@@ -309,7 +311,7 @@ def synthesize_echo(radii_column, pulse: PulseSpec, grid: Grid,
     radii = np.asarray(radii_column, dtype=float)
     if radii.shape != (grid.nx,):
         raise DomainError("radii column length must equal grid.nx")
-    bursts = burst_matrix(pulse, grid, fs, duration, n_cycles)
+    bursts = burst_matrix(pulse, grid, fs, duration)
     weights = reflectivity(radii)
     if not np.any(weights):
         return EchoTrace(samples=np.zeros(bursts.shape[1]), fs=fs,

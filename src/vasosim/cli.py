@@ -221,8 +221,7 @@ def cmd_simulate(cfg: RunConfig, out_dir):
             2 * np.pi * freq * np.arange(g.nt) * g.dt)
     else:
         inlet = None
-    radii_field, states = hemogrid.solve_flow(cfg.model, g, inlet=inlet,
-                                              bc="inlet")
+    radii_field, states = hemogrid.solve_flow(cfg.model, g, inlet=inlet)
     radii_path = os.path.join(out_dir, "radii.csv")
     hemogrid.write_radii_csv(radii_path, radii_field)
     volumes = np.array([float(np.sum(s.area)) * g.dx for s in states])

@@ -267,18 +267,16 @@ def _momentum(u, p, grid, model, bc, nonlinear=True):
     return u + grid.dt * scale * rhs
 
 
-def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
+def solve_flow(model: ArteryModel, grid: Grid, inlet=None,
                initial_radii=None):
     """Run the coupled continuity/momentum loop and record the radii history.
 
     Parameters
     ----------
     inlet : array of length nt, or None
-        Gauge pressure imposed at x=0 (added to p_ext) when
-        ``bc == "inlet"``. Ignored for periodic runs.
-    bc : "periodic" or "inlet"
-        "inlet" drives the first cell from the waveform through the tube
-        law and applies a zero-gradient outlet.
+        Gauge pressure imposed at x=0 (added to p_ext), which drives the
+        first cell through the tube law; None holds it at 0. The outlet
+        is zero-gradient.
     initial_radii : optional radii column, defaults to constant r0.
 
     Returns
@@ -296,15 +294,14 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None, bc="periodic",
     radii = np.empty((grid.nx, grid.nt))
     states = []
     for j, (area, velocity, pressure) in enumerate(
-            _flow(model, grid, initial_radii[None], inlet, bc)):
+            _flow(model, grid, initial_radii[None], inlet)):
         radii[:, j] = np.sqrt(area[0] / np.pi)
         states.append(FlowState(area=area[0], velocity=velocity[0],
                                 pressure=pressure[0]))
     return RadiiField(values=radii, grid=grid), states
 
 
-def final_radii(model: ArteryModel, grid: Grid, initial_radii, inlet=None,
-                bc="periodic"):
+def final_radii(model: ArteryModel, grid: Grid, initial_radii, inlet=None):
     """Radii after ``grid.nt - 1`` steps of :func:`solve_flow`, for a
     ``(rows, nx)`` stack of initial columns advanced together.
 
@@ -316,18 +313,16 @@ def final_radii(model: ArteryModel, grid: Grid, initial_radii, inlet=None,
     initial_radii = np.asarray(initial_radii, dtype=float)
     if initial_radii.ndim != 2 or initial_radii.shape[1] != grid.nx:
         raise DomainError("initial radii must be a (rows, grid.nx) stack")
-    for area, _, _ in _flow(model, grid, initial_radii, inlet, bc):
+    for area, _, _ in _flow(model, grid, initial_radii, inlet):
         pass
     return np.sqrt(area / np.pi)
 
 
-def _flow(model, grid, initial_radii, inlet, bc):
+def _flow(model, grid, initial_radii, inlet):
     """The one step loop: yields (area, velocity, pressure) as
     ``(rows, nx)`` arrays for each of the nt time indices, after that
     step's checks. Each step makes fresh arrays, so nothing yielded is
     written to again."""
-    if bc not in ("periodic", "inlet"):
-        raise DomainError(f"unknown boundary condition {bc!r}")
     if not np.all(initial_radii > 0):
         raise DomainError("radii must be positive")
     # the initial column doubles as the rest geometry of the wall closure,
@@ -341,32 +336,29 @@ def _flow(model, grid, initial_radii, inlet, bc):
     if waveform.shape != (grid.nt,):
         raise DomainError("inlet waveform length must equal nt")
 
-    step_bc = "periodic" if bc == "periodic" else "fixed"
     for j in range(grid.nt):
-        if bc == "inlet":
-            # drive the inlet cell through the wall closure, zero-gradient outlet
-            root = sqrt_d_rest[:, 0] + waveform[j] / model.beta
-            if (root <= 0).any():
-                raise SimulationError(
-                    f"inlet pressure collapses the lumen at step {j}",
-                    step_index=j)
-            area[:, 0] = root * root
-            area[:, -1] = area[:, -2]
-            velocity[:, -1] = velocity[:, -2]
+        # drive the inlet cell through the wall closure, zero-gradient outlet
+        root = sqrt_d_rest[:, 0] + waveform[j] / model.beta
+        if (root <= 0).any():
+            raise SimulationError(
+                f"inlet pressure collapses the lumen at step {j}",
+                step_index=j)
+        area[:, 0] = root * root
+        area[:, -1] = area[:, -2]
+        velocity[:, -1] = velocity[:, -2]
         # the step's one area check, which the tube law and the radii rely on
         if not (np.isfinite(area).all() and (area > 0).all()
                 and np.isfinite(velocity).all()):
             raise SimulationError(f"solver diverged at step {j}", step_index=j)
         pressure = _tube_law(area, model, sqrt_d_rest)
-        if bc == "inlet":
-            pressure[:, 0] = model.p_ext + waveform[j]
-            pressure[:, -1] = pressure[:, -2]
+        pressure[:, 0] = model.p_ext + waveform[j]
+        pressure[:, -1] = pressure[:, -2]
         yield area, velocity, pressure
         if j == grid.nt - 1:
             break
         try:
-            velocity = _momentum(velocity, pressure, grid, model, step_bc)
-            area = _continuity(area, velocity, grid, step_bc)
+            velocity = _momentum(velocity, pressure, grid, model, "fixed")
+            area = _continuity(area, velocity, grid, "fixed")
         except StabilityError as exc:
             raise SimulationError(f"solver unstable at step {j}: {exc}",
                                   step_index=j) from exc

@@ -231,7 +231,8 @@ def gradient(radii, problem: InverseProblem, options: SolverOptions):
     """Exact gradient of :func:`objective` from the echo map's Jacobian,
     as the Levenberg-Marquardt solve assembles it (:func:`_linearize`).
 
-    ``options`` is not read; it keeps the signature the solver calls.
+    ``options`` is not read; acceptance criterion 7 calls this with the
+    options it passes to :func:`central_gradient`.
     """
     radii = np.asarray(radii, dtype=float)
     _check_radii(radii, problem)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 
@@ -317,7 +316,6 @@ class FileSink:
 
     def __init__(self, path):
         self.path = path
-        self._lock = threading.Lock()
         self._seen = set()
         if os.path.exists(path):
             with open(path) as fh:
@@ -328,15 +326,14 @@ class FileSink:
                         self._seen.add((rec["session_id"], rec["timestamp"]))
 
     def write(self, payload: AlertPayload):
-        with self._lock:
-            if payload.idempotency_key in self._seen:
-                return
-            try:
-                with open(self.path, "a") as fh:
-                    fh.write(json.dumps(payload.to_dict(), sort_keys=True) + "\n")
-            except OSError as exc:
-                raise DispatchError(f"file sink write failed: {exc}") from exc
-            self._seen.add(payload.idempotency_key)
+        if payload.idempotency_key in self._seen:
+            return
+        try:
+            with open(self.path, "a") as fh:
+                fh.write(json.dumps(payload.to_dict(), sort_keys=True) + "\n")
+        except OSError as exc:
+            raise DispatchError(f"file sink write failed: {exc}") from exc
+        self._seen.add(payload.idempotency_key)
 
 
 _RECOMMENDATIONS = {

@@ -139,7 +139,7 @@ def generate_scenario(spec: ScenarioSpec):
     inlet = spec.perturbation_pa * np.sin(2 * np.pi * np.arange(g.nt) * g.dt / period)
     truths = hemogrid.final_radii(
         spec.model, g, np.array([_truth_column(spec, d) for d in depths]),
-        inlet=inlet, bc="inlet")
+        inlet=inlet)
     # every session's radii_truth is a row of this one read-only block
     truths.setflags(write=False)
     sessions = []

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,17 @@ PINNED_PIPELINE_DIGESTS = {
         "0c70194a3ed81004bb7d62e3a8105cdcaa8847ef5f6aad183b7afaefa2d68de4",
     "solution_0001.json":
         "292703456749edd45a40f31ff7b53118202b4636f2fed57aff0c58cd81e37e2d",
+}
+
+
+# SHA-256 of `vasosim simulate`'s files for PINNED_SIMULATE, recorded with
+# numpy 2.4 on x86-64: the inlet drives every step of the flow loop.
+PINNED_SIMULATE = {**SMALL, "simulate": {"inlet_amplitude": 10.0}}
+PINNED_SIMULATE_DIGESTS = {
+    "radii.csv":
+        "f068e8ffdb126edb8b4db58a5f22b31081d239105e315f347d4209457be8c8c5",
+    "flow_summary.json":
+        "9e8c2ef90bf9a9ee3f576269628f7913a066a6a4eb4fcb4221e2304681607c68",
 }
 
 
@@ -349,6 +362,18 @@ class TestExitCodes:
         for written in out.rglob("*"):
             assert "Infinity" not in written.read_text()
 
+
+def test_module_entry_warns_nothing():
+    # the package must not import cli before runpy runs it as __main__
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "vasosim.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert "RuntimeWarning" not in run.stderr
+
+
 class TestSimulate:
     def test_quiescent_run(self, small_config, tmp_path):
         out = tmp_path / "out"
@@ -371,6 +396,14 @@ class TestSimulate:
         field = hemogrid.read_radii_csv(out / "radii.csv")
         assert np.all(np.isfinite(field.values))
         assert np.any(field.values != field.values[0, 0])
+
+    def test_simulate_bytes_pinned(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.ini", PINNED_SIMULATE)
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out), "simulate"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == PINNED_SIMULATE_DIGESTS
 
 
 class TestEcho:

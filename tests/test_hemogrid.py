@@ -265,7 +265,7 @@ class TestBoundaries:
 class TestSolveFlow:
     def test_equilibrium_fixed_point(self, model):
         g = make_grid(64, nt=200, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
-        radii, states = hg.solve_flow(model, g, bc="inlet")
+        radii, states = hg.solve_flow(model, g)
         assert np.max(np.abs(radii.values - model.r0)) / model.r0 < 1e-12
         assert np.max(np.abs(states[-1].velocity)) < 1e-12
 
@@ -274,25 +274,16 @@ class TestSolveFlow:
         freq_bin = 16
         freq = freq_bin / (g.nt * g.dt)
         inlet = 20.0 * np.sin(2 * np.pi * freq * np.arange(g.nt) * g.dt)
-        radii, _ = hg.solve_flow(model, g, inlet=inlet, bc="inlet")
+        radii, _ = hg.solve_flow(model, g, inlet=inlet)
         mid = radii.values[g.nx // 2, :] - model.r0
         spectrum = np.abs(np.fft.rfft(mid))
         spectrum[0] = 0.0
         assert int(np.argmax(spectrum)) == freq_bin
 
-    def test_periodic_volume_conservation(self, model):
-        g = make_grid(64, nt=1000, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
-        rng = np.random.default_rng(5)
-        init = model.r0 * (1 + 0.05 * rng.uniform(-1, 1, g.nx))
-        radii, states = hg.solve_flow(model, g, bc="periodic",
-                                      initial_radii=init)
-        vols = np.array([s.area.sum() * g.dx for s in states])
-        assert np.max(np.abs(vols - vols[0])) / vols[0] < 1e-8
-
     def test_area_radius_consistency(self, model):
         g = make_grid(32, nt=100, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
         inlet = 10.0 * np.sin(np.linspace(0, 2 * np.pi, g.nt))
-        radii, states = hg.solve_flow(model, g, inlet=inlet, bc="inlet")
+        radii, states = hg.solve_flow(model, g, inlet=inlet)
         for j, state in enumerate(states):
             expected = np.pi * radii.values[:, j] ** 2
             assert np.max(np.abs(state.area - expected) / expected) < 1e-12
@@ -300,7 +291,7 @@ class TestSolveFlow:
     def test_recorded_states_share_no_memory(self, model):
         g = make_grid(32, nt=50, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
         inlet = 10.0 * np.sin(np.linspace(0, 2 * np.pi, g.nt))
-        _, states = hg.solve_flow(model, g, inlet=inlet, bc="inlet")
+        _, states = hg.solve_flow(model, g, inlet=inlet)
         assert len(states) == g.nt
         for a, b in zip(states, states[1:]):
             for name in ("area", "velocity", "pressure"):
@@ -309,8 +300,8 @@ class TestSolveFlow:
     def test_determinism(self, model):
         g = make_grid(32, nt=200, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
         inlet = 15.0 * np.sin(np.linspace(0, 4 * np.pi, g.nt))
-        a, _ = hg.solve_flow(model, g, inlet=inlet, bc="inlet")
-        b, _ = hg.solve_flow(model, g, inlet=inlet, bc="inlet")
+        a, _ = hg.solve_flow(model, g, inlet=inlet)
+        b, _ = hg.solve_flow(model, g, inlet=inlet)
         assert np.array_equal(a.values, b.values)
 
     def test_divergence_reports_step_index(self, model):
@@ -318,7 +309,7 @@ class TestSolveFlow:
         g = make_grid(32, nt=50, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
         inlet = np.full(g.nt, -1e9)
         with pytest.raises(SimulationError) as err:
-            hg.solve_flow(model, g, inlet=inlet, bc="inlet")
+            hg.solve_flow(model, g, inlet=inlet)
         assert err.value.step_index is not None
 
     def test_initial_radii_length_checked(self, model):
@@ -331,21 +322,20 @@ class TestFinalRadii:
     """final_radii runs solve_flow's loop on a stack of rows, keeping no
     history; solve_flow run one row at a time is its reference."""
 
-    @pytest.mark.parametrize("bc", ["inlet", "periodic"])
-    @pytest.mark.parametrize("nx", [2, 17, 64, 128])
-    def test_rows_match_solve_flow(self, model, nx, bc):
+    @pytest.mark.parametrize("nx", [2, 17, 64, 128],
+                             ids=lambda nx: f"{nx}-inlet")
+    def test_rows_match_solve_flow(self, model, nx):
         g = make_grid(nx, nt=300, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
         inlet = 10.0 * np.sin(2 * np.pi * np.arange(g.nt) / g.nt)
         stack = np.array([np.full(nx, model.r0),
                           stenotic_column(model, nx, nx / 2, nx / 8, 0.4)])
-        final = hg.final_radii(model, g, stack, inlet=inlet, bc=bc)
+        final = hg.final_radii(model, g, stack, inlet=inlet)
         assert final.shape == stack.shape
         for row, initial in zip(final, stack):
-            radii, _ = hg.solve_flow(model, g, inlet=inlet, bc=bc,
+            radii, _ = hg.solve_flow(model, g, inlet=inlet,
                                      initial_radii=initial)
             assert row.tobytes() == radii.column(-1).tobytes()
-        if bc == "inlet":
-            assert not np.array_equal(final, stack)  # the inlet moved them
+        assert not np.array_equal(final, stack)  # the inlet moved them
 
     @pytest.mark.parametrize("sign, radius, reason", [
         (-1.0, 1e-5, "collapses the lumen"),
@@ -357,16 +347,13 @@ class TestFinalRadii:
         healthy = [np.full(g.nx, model.r0),
                    stenotic_column(model, g.nx, 16, 2.0, 0.4)]
         for initial in healthy:
-            hg.solve_flow(model, g, inlet=inlet, bc="inlet",
-                          initial_radii=initial)
+            hg.solve_flow(model, g, inlet=inlet, initial_radii=initial)
         failing = np.full(g.nx, radius)
         with pytest.raises(SimulationError, match=reason) as alone:
-            hg.solve_flow(model, g, inlet=inlet, bc="inlet",
-                          initial_radii=failing)
+            hg.solve_flow(model, g, inlet=inlet, initial_radii=failing)
         with pytest.raises(SimulationError, match=reason) as stacked:
             hg.final_radii(model, g, np.array([healthy[0], failing,
-                                               healthy[1]]),
-                           inlet=inlet, bc="inlet")
+                                               healthy[1]]), inlet=inlet)
         assert stacked.value.step_index == alone.value.step_index
         assert 0 < alone.value.step_index < g.nt - 1
 

@@ -118,7 +118,7 @@ class TestGenerateScenario:
         for sess in synthdata.generate_scenario(spec):
             initial = synthdata._truth_column(
                 spec, synthdata._dip_depth(spec, sess.session_index))
-            radii, _ = hemogrid.solve_flow(model, g, inlet=inlet, bc="inlet",
+            radii, _ = hemogrid.solve_flow(model, g, inlet=inlet,
                                            initial_radii=initial)
             assert sess.radii_truth.tobytes() == radii.column(-1).tobytes()
 
