@@ -36,7 +36,6 @@ __all__ = [
     "DensityEstimate",
     "wave_field",
     "wave_equation_residual",
-    "reflection_coefficient",
     "incident_pulse",
     "burst_matrix",
     "reflectivity",
@@ -121,7 +120,6 @@ class EchoTrace:
 class ToFMeasurement:
     tof: float
     peak_correlation: float
-    session_id: str = ""
 
     def __post_init__(self):
         if self.tof < 0:
@@ -189,24 +187,6 @@ def wave_equation_residual(pulse: PulseSpec, x_range, r_range, t_range, steps):
     return float(residual / (np.max(np.abs(P)) * k2))
 
 
-def reflection_coefficient(d_left, d_right):
-    """Amplitude reflection at an area discontinuity.
-
-    Characteristic impedance Z = rho*c/D, so
-    Gamma = (Z_r - Z_l)/(Z_r + Z_l) = (D_l - D_r)/(D_l + D_r), in (-1, 1).
-    """
-    d_left = np.asarray(d_left, dtype=float)
-    d_right = np.asarray(d_right, dtype=float)
-    if not (np.all(d_left > 0) and np.all(d_right > 0)):
-        raise DomainError("areas must be positive")
-    out = _reflection(d_left, d_right)
-    return float(out) if out.ndim == 0 else out
-
-
-def _reflection(d_left, d_right):
-    return (d_left - d_right) / (d_left + d_right)
-
-
 def _windowed_harmonic(pulse: PulseSpec, t):
     """Hann-windowed real cosine burst of N_CYCLES starting at t = 0."""
     t = np.asarray(t, dtype=float)
@@ -216,15 +196,14 @@ def _windowed_harmonic(pulse: PulseSpec, t):
     return pulse.amp_forward * window * np.cos(pulse.omega * t)
 
 
-def incident_pulse(pulse: PulseSpec, fs, duration, session_id=""):
+def incident_pulse(pulse: PulseSpec, fs, duration):
     """Sampled incident burst used as the reference for ToF estimation."""
     _check_sampling(pulse, fs)
     n = int(round(duration * fs))
     if n < 2:
         raise ConfigurationError("duration too short for the sample rate")
     t = np.arange(n) / fs
-    return EchoTrace(samples=_windowed_harmonic(pulse, t), fs=fs,
-                     session_id=session_id)
+    return EchoTrace(samples=_windowed_harmonic(pulse, t), fs=fs)
 
 
 def _check_sampling(pulse, fs):
@@ -254,8 +233,10 @@ def burst_matrix(pulse: PulseSpec, grid: Grid, fs, duration):
 def _interfaces(r):
     """Gamma_i and the two-way loss prod_{m<i}(1 - Gamma_m^2) of a float
     radii array, unchecked: the caller has established positive areas."""
+    # impedance Z = rho*c/D, so Gamma = (Z_r - Z_l)/(Z_r + Z_l)
+    # = (D_l - D_r)/(D_l + D_r), in (-1, 1)
     areas = np.pi * r**2
-    gammas = _reflection(areas[:-1], areas[1:])
+    gammas = (areas[:-1] - areas[1:]) / (areas[:-1] + areas[1:])
     # two-way transmission loss accumulated over interfaces closer to the probe
     loss = np.concatenate(([1.0], np.cumprod(1.0 - gammas**2)[:-1]))
     return gammas, loss
@@ -263,10 +244,12 @@ def _interfaces(r):
 
 def reflectivity(radii_column):
     """Interface weights w_i = Gamma_i * prod_{m<i}(1 - Gamma_m^2);
-    DomainError unless every area is positive."""
+    DomainError unless every radius, and with it every area, is positive."""
     r = np.asarray(radii_column, dtype=float)
-    if not np.all(np.pi * r**2 > 0):
-        raise DomainError("areas must be positive")
+    lo = r.min()
+    # written so that NaN fails it; a radius whose square underflows fails
+    if not (lo > 0 and np.pi * lo**2 > 0):
+        raise DomainError("radii must be positive")
     gammas, loss = _interfaces(r)
     return gammas * loss
 
@@ -299,7 +282,7 @@ def _jacobian(r, gammas, loss):
 
 
 def synthesize_echo(radii_column, pulse: PulseSpec, grid: Grid,
-                    model: ArteryModel, fs, duration, session_id=""):
+                    model: ArteryModel, fs, duration):
     """Single-scattering echo ``reflectivity(r) @ burst_matrix(...)``.
 
     Each interface between cells i and i+1 contributes a copy of the
@@ -312,11 +295,7 @@ def synthesize_echo(radii_column, pulse: PulseSpec, grid: Grid,
     if radii.shape != (grid.nx,):
         raise DomainError("radii column length must equal grid.nx")
     bursts = burst_matrix(pulse, grid, fs, duration)
-    weights = reflectivity(radii)
-    if not np.any(weights):
-        return EchoTrace(samples=np.zeros(bursts.shape[1]), fs=fs,
-                         session_id=session_id)
-    return EchoTrace(samples=weights @ bursts, fs=fs, session_id=session_id)
+    return EchoTrace(samples=reflectivity(radii) @ bursts, fs=fs)
 
 
 def estimate_tof(incident: EchoTrace, echo: EchoTrace,
@@ -351,8 +330,7 @@ def estimate_tof(incident: EchoTrace, echo: EchoTrace,
             if abs(delta) < 1e-9 or abs(delta) > 1:
                 delta = 0.0
     tof = max((lags[k] + delta), 0.0) / incident.fs
-    return ToFMeasurement(tof=tof, peak_correlation=min(peak, 1.0),
-                          session_id=echo.session_id)
+    return ToFMeasurement(tof=tof, peak_correlation=min(peak, 1.0))
 
 
 def density_change(tof_ref: ToFMeasurement, tof_new: ToFMeasurement):

@@ -340,7 +340,7 @@ def cmd_gen_data(cfg: RunConfig, out_dir, seed=None):
 
 
 def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
-    """generate -> echo (from dataset) -> invert -> assess, one manifest."""
+    """generate -> invert each generated echo -> assess, one manifest."""
     # no makedirs of out_dir first: cmd_gen_data checks [scenario] before it
     # writes anything, and making the dataset directory makes out_dir too
     data_dir = os.path.join(out_dir, "dataset")

@@ -15,7 +15,6 @@ The system is closed by a linear-elastic tube law mapping area to pressure.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,6 @@ __all__ = [
     "ArteryModel",
     "RadiiField",
     "FlowState",
-    "area_from_radius",
-    "radius_from_area",
-    "tube_law",
     "step_continuity",
     "step_momentum",
     "solve_flow",
@@ -101,11 +97,6 @@ class ArteryModel:
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
 
-    @property
-    def d0(self):
-        """Baseline cross-sectional area pi*r0^2."""
-        return math.pi * self.r0 * self.r0
-
 
 @dataclass(frozen=True)
 class RadiiField:
@@ -148,39 +139,9 @@ class FlowState:
             raise DomainError("area values must be positive")
 
 
-def area_from_radius(r):
-    """Cross-sectional area D = pi*r^2 for positive radius (scalar or array)."""
-    r = np.asarray(r, dtype=float)
-    if not np.all(r > 0):
-        raise DomainError("radius must be positive")
-    out = np.pi * r * r
-    return float(out) if out.ndim == 0 else out
-
-def radius_from_area(d):
-    """Inverse of :func:`area_from_radius`: r = sqrt(D/pi)."""
-    d = np.asarray(d, dtype=float)
-    if not np.all(d > 0):
-        raise DomainError("area must be positive")
-    out = np.sqrt(d / np.pi)
-    return float(out) if out.ndim == 0 else out
-
-
-def tube_law(d, model: ArteryModel, sqrt_d_rest=None):
-    """Linear-elastic wall closure p = p_ext + beta*(sqrt(D) - sqrt(D_rest)).
-
-    ``sqrt_d_rest`` is the root of the rest area, a scalar or one value per
-    cell; it defaults to sqrt(D0) of the uniform baseline lumen.
-    """
-    d = np.asarray(d, dtype=float)
-    if not np.all(d > 0):
-        raise DomainError("area must be positive")
-    if sqrt_d_rest is None:
-        sqrt_d_rest = math.sqrt(model.d0)
-    out = _tube_law(d, model, sqrt_d_rest)
-    return float(out) if out.ndim == 0 else out
-
-
 def _tube_law(d, model, sqrt_d_rest):
+    """Linear-elastic wall closure p = p_ext + beta*(sqrt(D) - sqrt(D_rest)),
+    with ``sqrt_d_rest`` the root of each cell's rest area."""
     return model.p_ext + model.beta * (np.sqrt(d) - sqrt_d_rest)
 
 

@@ -32,7 +32,6 @@ from .acoustics import (
     _interfaces,
     _jacobian,
     burst_matrix,
-    reflectivity,
     synthesize_echo,  # not called here; perfbench/spans.py wraps this name
 )
 from .errors import DomainError, NumericalError, SolverNotFoundError
@@ -89,10 +88,6 @@ class InverseProblem:
     @property
     def duration(self):
         return self.observed.samples.size / self.observed.fs
-
-    def forward(self, radii):
-        """Forward map F: radii column -> echo samples, w(r) @ B."""
-        return reflectivity(radii) @ self.bursts
 
 
 @dataclass(frozen=True)
@@ -396,7 +391,7 @@ def invert_radii(problem: InverseProblem, options: SolverOptions | None = None):
         noise_sigma=sigma)
 
 
-SOLVER_NAME = "gauss-descent"
+SOLVER_NAME = "levenberg-marquardt"
 
 
 def get_solver(name):

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import requests
@@ -101,9 +101,7 @@ class TTEResult:
     tie_rule: str = "smallest-index"
 
     def to_dict(self):
-        return {"tte_step": self.tte_step, "max_prob": self.max_prob,
-                "step_seconds": self.step_seconds, "tie_rule": self.tie_rule,
-                "tte_seconds": self.tte_step * self.step_seconds}
+        return {**asdict(self), "tte_seconds": self.tte_step * self.step_seconds}
 
 
 @dataclass(frozen=True)
@@ -129,15 +127,7 @@ class AlertPayload:
     severity: str
 
     def to_dict(self):
-        return {
-            "session_id": self.session_id,
-            "timestamp": self.timestamp,
-            "tte_step": self.tte_step,
-            "max_prob": self.max_prob,
-            "prob_now": self.prob_now,
-            "recommendation": self.recommendation,
-            "severity": self.severity,
-        }
+        return asdict(self)
 
     @property
     def idempotency_key(self):

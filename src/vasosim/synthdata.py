@@ -146,8 +146,7 @@ def generate_scenario(spec: ScenarioSpec):
     for s, (depth, truth) in enumerate(zip(depths, truths)):
         clean = acoustics.synthesize_echo(truth, spec.pulse, spec.grid,
                                           spec.model, fs=spec.fs,
-                                          duration=spec.duration,
-                                          session_id=f"s{s:04d}")
+                                          duration=spec.duration)
         rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, s])
         clean_rms = float(np.sqrt(np.mean(clean.samples**2)))
         scale = clean_rms if clean_rms > 0 else 0.01 * spec.pulse.amp_forward

@@ -118,26 +118,35 @@ class TestWaveEquationResidual:
 
 
 class TestReflectionCoefficient:
-    def test_matched_areas(self):
-        assert ac.reflection_coefficient(1e-5, 1e-5) == 0.0
+    """reflectivity of two-cell columns, whose one weight is the reflection
+    coefficient Gamma = (D_l - D_r)/(D_l + D_r)."""
 
-    def test_closed_end_limit(self):
-        assert ac.reflection_coefficient(1e-5, 1e-12) == pytest.approx(
-            1.0, abs=1e-6)
+    def test_matched_areas(self):
+        assert ac.reflectivity([1e-3, 1e-3]).tolist() == [0.0]
 
     def test_half_area(self):
-        d = 1e-5
-        assert ac.reflection_coefficient(d, d / 2) == pytest.approx(
+        r = 1e-3
+        assert ac.reflectivity([r, r / math.sqrt(2)])[0] == pytest.approx(
             1.0 / 3.0, rel=1e-12)
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            ac.reflection_coefficient(-1e-5, 1e-5)
+    def test_closed_end_limit(self):
+        assert ac.reflectivity([1e-3, 1e-9])[0] == pytest.approx(1.0, abs=1e-6)
 
-    @given(st.floats(min_value=1e-8, max_value=1e-3),
-           st.floats(min_value=1e-8, max_value=1e-3))
-    def test_energy_bound(self, dl, dr):
-        assert abs(ac.reflection_coefficient(dl, dr)) < 1.0
+    def test_domain_error(self):
+        # a negative radius has a positive area, which is not enough
+        with pytest.raises(DomainError):
+            ac.reflectivity([-2e-3, 2e-3])
+
+    @pytest.mark.parametrize("radii", [[2e-3, 0.0], [2e-3, np.nan],
+                                       [1e-200, 2e-3]])
+    def test_zero_nan_and_underflowing_radii(self, radii):
+        with pytest.raises(DomainError):
+            ac.reflectivity(radii)
+
+    @given(st.floats(min_value=1e-4, max_value=3e-2),
+           st.floats(min_value=1e-4, max_value=3e-2))
+    def test_energy_bound(self, r_left, r_right):
+        assert abs(ac.reflectivity([r_left, r_right])[0]) < 1.0
 
 
 class TestSynthesizeEcho:
@@ -157,8 +166,7 @@ class TestSynthesizeEcho:
         radii[i_star + 1:] = 0.8 * model.r0
         trace = ac.synthesize_echo(radii, pulse, g, model, fs=self.fs,
                                    duration=1e-4)
-        gamma = ac.reflection_coefficient(np.pi * radii[i_star] ** 2,
-                                          np.pi * radii[i_star + 1] ** 2)
+        gamma = ac.reflectivity(radii)[i_star]
         peak = np.max(np.abs(trace.samples))
         assert peak == pytest.approx(pulse.amp_forward * gamma, rel=0.01)
         # arrival centered at 2x/c plus half the burst window

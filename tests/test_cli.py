@@ -432,6 +432,21 @@ class TestEcho:
         expected = 2 * 16 * 1e-3 / cfg.pulse.c + 2.5 / f0  # burst center
         assert t_peak == pytest.approx(expected, abs=3e-6)
 
+    def test_dataset_echo_is_echo_of_dataset_radii(self, tmp_path):
+        # gen-data and echo share one synthesis path: without noise, echo on
+        # a dataset radii file writes the dataset's echo after the header
+        config = write_config(tmp_path / "clean.ini",
+                              {"scenario": {"noise_rms": 0.0}})
+        out = tmp_path / "out"
+        assert cli.main(["--config", config, "--out", str(out),
+                         "pipeline"]) == 0
+        dataset = out / "dataset"
+        assert cli.main(["--config", config, "--out", str(tmp_path / "echo"),
+                         "echo", str(dataset / "session_0002_radii.csv")]) == 0
+        body = (tmp_path / "echo" / "echo.csv").read_text().split("\n", 1)[1]
+        expected = (dataset / "session_0002_echo.csv").read_text()
+        assert body == expected.split("\n", 1)[1]
+
     def test_column_out_of_range(self, small_config, tmp_path):
         out = tmp_path / "out"
         cli.main(["--config", small_config, "--out", str(out), "simulate"])

@@ -10,60 +10,6 @@ from vasosim import hemogrid as hg
 from vasosim.errors import DomainError, SimulationError, StabilityError
 
 
-class TestAreaRadius:
-    def test_unit_radius(self):
-        assert hg.area_from_radius(1.0) == pytest.approx(math.pi, rel=1e-12)
-
-    def test_scaling(self):
-        assert hg.area_from_radius(2.0) == pytest.approx(4 * math.pi, rel=1e-12)
-
-    def test_small_radius(self):
-        d = hg.area_from_radius(1e-3)
-        assert d == pytest.approx(math.pi * 1e-6, rel=1e-12)
-        assert hg.radius_from_area(d) == pytest.approx(1e-3, rel=1e-12)
-
-    def test_inverse_unit(self):
-        assert hg.radius_from_area(math.pi) == pytest.approx(1.0, rel=1e-12)
-        assert hg.radius_from_area(4 * math.pi) == pytest.approx(2.0, rel=1e-12)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(1)
-        r = rng.uniform(1e-4, 1e-2, 1000)
-        back = hg.radius_from_area(hg.area_from_radius(r))
-        assert np.max(np.abs(back - r) / r) < 1e-12
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_domain_errors(self, bad):
-        with pytest.raises(DomainError):
-            hg.area_from_radius(bad)
-        with pytest.raises(DomainError):
-            hg.radius_from_area(bad)
-
-    @given(st.floats(min_value=1e-4, max_value=1e-2))
-    def test_round_trip_property(self, r):
-        assert hg.radius_from_area(hg.area_from_radius(r)) == pytest.approx(
-            r, rel=1e-12)
-
-
-class TestTubeLaw:
-    def test_baseline_area_gives_external_pressure(self, model):
-        assert hg.tube_law(model.d0, model) == pytest.approx(model.p_ext, abs=1e-9)
-
-    def test_hand_evaluation(self):
-        model = hg.ArteryModel(beta=2.0, p_ext=0.0)
-        d = (math.sqrt(model.d0) + 0.5) ** 2
-        assert hg.tube_law(d, model) == pytest.approx(1.0, rel=1e-12)
-
-    def test_monotone(self, model):
-        d = np.linspace(0.5 * model.d0, 2 * model.d0, 50)
-        p = hg.tube_law(d, model)
-        assert np.all(np.diff(p) > 0)
-
-    def test_nonpositive_area(self, model):
-        with pytest.raises(DomainError):
-            hg.tube_law(0.0, model)
-
-
 class TestGrid:
     def test_cfl_rejected_at_construction(self):
         with pytest.raises(DomainError):
@@ -279,6 +225,22 @@ class TestSolveFlow:
         spectrum = np.abs(np.fft.rfft(mid))
         spectrum[0] = 0.0
         assert int(np.argmax(spectrum)) == freq_bin
+
+    def test_interior_pressure_is_the_wall_closure(self):
+        # the closure as the loop applies it: rest geometry is the initial
+        # column, and only the inlet and outlet cells are overwritten
+        model = hg.ArteryModel(p_ext=250.0)
+        g = make_grid(32, nt=100, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
+        r_init = stenotic_column(model, g.nx, 16, 3.0, 0.3)
+        inlet = 10.0 * np.sin(np.linspace(0, 2 * np.pi, g.nt))
+        _, states = hg.solve_flow(model, g, inlet=inlet, initial_radii=r_init)
+        for state in states:
+            expected = model.p_ext + model.beta * (
+                np.sqrt(state.area[1:-1]) - np.sqrt(np.pi) * r_init[1:-1])
+            assert state.pressure[1:-1].tobytes() == expected.tobytes()
+        moved = max(np.max(np.abs(s.pressure[1:-1] - model.p_ext))
+                    for s in states)
+        assert moved > 1.0
 
     def test_area_radius_consistency(self, model):
         g = make_grid(32, nt=100, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
