@@ -18,6 +18,7 @@ inversion share one forward operator and its one derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,20 +215,30 @@ def _check_sampling(pulse, fs):
 
 
 def burst_matrix(pulse: PulseSpec, grid: Grid, fs, duration):
-    """Echo basis B of shape (nx - 1, n_samples).
+    """Echo basis B of shape (nx - 1, n_samples), read-only.
 
     Row i is the incident burst delayed by the round trip 2*x_i/c to the
     interface between cells i and i+1; B depends only on the pulse, the
-    grid and the sampling, never on the radii.
+    grid and the sampling, never on the radii, so calls with the same
+    pulse, grid, sample rate and sample count share one array.
     """
     _check_sampling(pulse, fs)
     if duration < 2 * grid.nx * grid.dx / pulse.c:
         raise ConfigurationError(
             "duration does not cover the round trip over the segment")
-    t = np.arange(int(round(duration * fs))) / fs
+    return _bursts(pulse, grid, fs, int(round(duration * fs)))
+
+
+@lru_cache(maxsize=32)
+def _bursts(pulse, grid, fs, n_samples):
+    """:func:`burst_matrix` past its checks, keyed on the sample count: two
+    durations that round to the same count give the same matrix."""
+    t = np.arange(n_samples) / fs
     x_i = (np.arange(grid.nx - 1) + 1) * grid.dx
     delays = 2 * x_i / pulse.c
-    return _windowed_harmonic(pulse, t[None, :] - delays[:, None])
+    bursts = _windowed_harmonic(pulse, t[None, :] - delays[:, None])
+    bursts.setflags(write=False)
+    return bursts
 
 
 def _interfaces(r):

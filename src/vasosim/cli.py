@@ -130,8 +130,9 @@ def load_config(path=None, overrides=None):
     file's. Raises ConfigurationError on any malformed or out-of-range
     value and on any section or key that :data:`KEYS` does not declare;
     callers map that to exit code 2 before touching the filesystem.
-    The ``[scenario]`` keys are checked where a command builds their
-    :class:`ScenarioSpec`, also before any output.
+    The ``[scenario]`` values are checked here for every command, save
+    whether the stenosis fits the grid: that is checked where a command
+    builds its :class:`ScenarioSpec`, also before any output.
     """
     parser = configparser.ConfigParser()
     if path is None:
@@ -179,6 +180,9 @@ def load_config(path=None, overrides=None):
             "critical_prob", "critical_horizon", "warn_prob")})
         weights = tuple(rsk.pop(name)
                         for name in ("w_stenosis", "w_density", "w_horizon"))
+        synthdata.check_scenario(
+            scenario["kind"], scenario["severity"], scenario["sessions"],
+            scenario["noise_rms"], scenario["stenosis_width"])
         if scenario["stenosis_center"] is None:
             scenario["stenosis_center"] = grid.nx // 2
         cfg = RunConfig(

@@ -12,6 +12,14 @@ reduction of the nondimensional viscous momentum balance
     (alpha^2/Re) du/dt + u du/dx + dp/dx - (1/Re) d2u/dx2 = 0.
 
 The system is closed by a linear-elastic tube law mapping area to pressure.
+
+Each stencil is coded once, as an in-place kernel on ghosted arrays whose
+first axis runs along the segment with one ghost cell at each end. The
+step loop is cell-major: one ``(3, nx + 2, rows)`` buffer holds area,
+velocity and pressure for a stack of columns advanced together, and each
+step overwrites it, so an array the loop yields is valid until the next
+step. :func:`step_continuity` and :func:`step_momentum` fill periodic or
+fixed ghost cells around one column and call the same kernels.
 """
 from __future__ import annotations
 
@@ -139,19 +147,31 @@ class FlowState:
             raise DomainError("area values must be positive")
 
 
-def _tube_law(d, model, sqrt_d_rest):
-    """Linear-elastic wall closure p = p_ext + beta*(sqrt(D) - sqrt(D_rest)),
-    with ``sqrt_d_rest`` the root of each cell's rest area."""
-    return model.p_ext + model.beta * (np.sqrt(d) - sqrt_d_rest)
+def _abs_max(u):
+    """max|u| from one min/max pair; NaN gives NaN, as np.abs(u).max()
+    does."""
+    return max(u.max(), -u.min())
 
 
-def _ghost(a, bc):
-    """``a`` with one ghost cell at each end of its last axis: wrapped round
-    for ``bc == "periodic"``, otherwise a copy of the edge cell (zero
-    gradient)."""
-    if bc == "periodic":
-        return np.concatenate((a[..., -1:], a, a[..., :1]), axis=-1)
-    return np.concatenate((a[..., :1], a, a[..., -1:]), axis=-1)
+def _ghosted(bc, *columns):
+    """The 1-D ``columns`` stacked, each with one ghost cell at each end:
+    wrapped round for ``bc == "periodic"``, otherwise a copy of the edge
+    cell (zero gradient)."""
+    fields = np.empty((len(columns), columns[0].size + 2))
+    fields[:, 1:-1] = columns
+    left, right = (-2, 1) if bc == "periodic" else (1, -2)
+    fields[:, 0], fields[:, -1] = fields[:, left], fields[:, right]
+    return fields
+
+
+def _scratch(shape):
+    """Work arrays for :func:`_momentum` and :func:`_continuity` on ghosted
+    fields of ``shape``: two floats per interface, two per cell and a mask
+    per interface."""
+    nx, rest = shape[0] - 2, shape[1:]
+    return (np.empty((nx + 1, *rest)), np.empty((nx + 1, *rest)),
+            np.empty((nx, *rest)), np.empty((nx, *rest)),
+            np.empty((nx + 1, *rest), dtype=bool))
 
 
 def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
@@ -165,21 +185,44 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
     d, u = state.area, state.velocity
     if d.shape != (grid.nx,):
         raise DomainError("state dimensions do not match grid")
-    return FlowState(area=_continuity(d, u, grid, bc), velocity=u.copy(),
+    area, velocity = _ghosted(bc, d, u)
+    _continuity(area, velocity, _abs_max(u), grid, _scratch(area.shape))
+    return FlowState(area=area[1:-1], velocity=u.copy(),
                      pressure=state.pressure.copy())
 
 
-def _continuity(d, u, grid, bc):
-    """Area after one step of :func:`step_continuity`, on bare arrays whose
-    last axis runs along the segment; the CFL check covers every row."""
-    courant = np.abs(u).max() * grid.dt / grid.dx
+def _continuity(D, U, u_max, grid, work):
+    """Advance the area ``D[1:-1]`` one step of :func:`step_continuity` in
+    place. ``D`` and ``U`` run along the segment on axis 0 with filled
+    ghost cells at each end; ``u_max`` is max|u| over every cell, for the
+    CFL check."""
+    courant = u_max * grid.dt / grid.dx
     if courant > 1:
         raise StabilityError(f"continuity CFL violated: |u|dt/dx = {courant:.3g} > 1")
-    dg, ug = _ghost(d, bc), _ghost(u, bc)
-    # upwind flux of F = u*D at the nx+1 cell interfaces
-    uh = 0.5 * (ug[..., :-1] + ug[..., 1:])
-    flux = np.where(uh >= 0, uh * dg[..., :-1], uh * dg[..., 1:])
-    return d - (grid.dt / grid.dx) * (flux[..., 1:] - flux[..., :-1])
+    uh, flux, dflux, _, upwind = work
+    # upwind flux of F = u*D at the nx+1 cell interfaces: pick the upwind
+    # cell's area, then multiply; as in _momentum, the operations keep the
+    # order of d - (dt/dx)*(flux_r - flux_l) with flux = (0.5*(u_l + u_r))*D
+    np.add(U[:-1], U[1:], out=uh)
+    uh *= 0.5
+    np.greater_equal(uh, 0, out=upwind)
+    np.copyto(flux, D[1:])
+    np.copyto(flux, D[:-1], where=upwind)
+    flux *= uh
+    np.subtract(flux[1:], flux[:-1], out=dflux)
+    dflux *= grid.dt / grid.dx
+    D[1:-1] -= dflux
+
+
+def _check_diffusion(grid, model):
+    """StabilityError if the grid breaks the momentum step's explicit
+    diffusion bound."""
+    nu_eff = 1.0 / model.alpha**2  # (Re/alpha^2) * (1/Re)
+    diff_number = nu_eff * grid.dt / grid.dx**2
+    if diff_number > 0.5:
+        raise StabilityError(
+            f"momentum diffusion number {diff_number:.3g} exceeds 0.5"
+        )
 
 
 def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
@@ -194,38 +237,51 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
     u, p = state.velocity, state.pressure
     if u.shape != (grid.nx,):
         raise DomainError("state dimensions do not match grid")
-    return FlowState(area=state.area.copy(),
-                     velocity=_momentum(u, p, grid, model, bc, nonlinear),
+    _check_diffusion(grid, model)
+    velocity, pressure = _ghosted(bc, u, p)
+    _momentum(velocity, pressure, _abs_max(u), grid, model,
+              _scratch(velocity.shape), nonlinear)
+    return FlowState(area=state.area.copy(), velocity=velocity[1:-1],
                      pressure=p.copy())
 
 
-def _momentum(u, p, grid, model, bc, nonlinear=True):
-    """Velocity after one step of :func:`step_momentum`, on bare arrays
-    whose last axis runs along the segment; the Courant check covers every
-    row."""
+def _momentum(U, P, u_max, grid, model, work, nonlinear=True):
+    """Advance the velocity ``U[1:-1]`` one step of :func:`step_momentum`
+    in place. ``U`` and ``P`` run along the segment on axis 0 with filled
+    ghost cells at each end; ``u_max`` is max|u| over every cell, for the
+    advective Courant check. The diffusion bound is the caller's
+    (:func:`_check_diffusion`)."""
     scale = model.re / model.alpha**2
-    nu_eff = 1.0 / model.alpha**2  # (Re/alpha^2) * (1/Re)
-    diff_number = nu_eff * grid.dt / grid.dx**2
-    if diff_number > 0.5:
-        raise StabilityError(
-            f"momentum diffusion number {diff_number:.3g} exceeds 0.5"
-        )
-    adv_courant = scale * np.abs(u).max() * grid.dt / grid.dx
+    adv_courant = scale * u_max * grid.dt / grid.dx
     if adv_courant > 1:
         raise StabilityError(
             f"momentum advective Courant number {adv_courant:.3g} exceeds 1"
         )
-
-    ug, pg = _ghost(u, bc), _ghost(p, bc)
-    u_p, u_m = ug[..., 2:], ug[..., :-2]
-
-    dpdx = (pg[..., 2:] - pg[..., :-2]) / (2 * grid.dx)
-    d2u = (u_p - 2 * u + u_m) / grid.dx**2
-    rhs = -dpdx + (1.0 / model.re) * d2u
+    du, _, dpdx, rhs, upwind = work
+    u = U[1:-1]
+    # u + dt*scale*(-dp/dx + (1/Re)*(u_p - 2u + u_m)/dx^2 - u*du/dx), each
+    # operation rounded in the order written: the pinned outputs rely on it
+    np.subtract(P[2:], P[:-2], out=dpdx)
+    dpdx /= 2 * grid.dx
+    np.multiply(u, 2, out=rhs)
+    np.subtract(U[2:], rhs, out=rhs)
+    rhs += U[:-2]
+    rhs /= grid.dx**2
+    rhs *= 1.0 / model.re
+    rhs -= dpdx
     if nonlinear:
-        dudx_up = np.where(u >= 0, (u - u_m) / grid.dx, (u_p - u) / grid.dx)
-        rhs = rhs - u * dudx_up
-    return u + grid.dt * scale * rhs
+        # du[i] is cell i's backward difference and cell i-1's forward one:
+        # pick the upwind difference, then divide
+        np.subtract(U[1:], U[:-1], out=du)
+        upwind = upwind[:-1]
+        np.greater_equal(u, 0, out=upwind)
+        np.copyto(dpdx, du[1:])
+        np.copyto(dpdx, du[:-1], where=upwind)
+        dpdx /= grid.dx
+        dpdx *= u
+        rhs -= dpdx
+    rhs *= grid.dt * scale
+    u += rhs
 
 
 def solve_flow(model: ArteryModel, grid: Grid, inlet=None,
@@ -245,7 +301,7 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None,
     (RadiiField, list[FlowState])
         Radii history with column j the state after j steps, and the
         per-step flow states (the list has nt entries, index 0 initial).
-        No state is written to after it is recorded.
+        Each state holds its own copies of the step's fields.
     """
     if initial_radii is None:
         initial_radii = np.full(grid.nx, model.r0)
@@ -254,11 +310,13 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None,
         raise DomainError("initial radii length must equal grid.nx")
     radii = np.empty((grid.nx, grid.nt))
     states = []
-    for j, (area, velocity, pressure) in enumerate(
+    for j, fields in enumerate(
             _flow(model, grid, initial_radii[None], inlet)):
-        radii[:, j] = np.sqrt(area[0] / np.pi)
-        states.append(FlowState(area=area[0], velocity=velocity[0],
-                                pressure=pressure[0]))
+        # the loop reuses its buffers, so each step's one column is copied
+        area, velocity, pressure = (f[:, 0].copy() for f in fields)
+        radii[:, j] = np.sqrt(area / np.pi)
+        states.append(FlowState(area=area, velocity=velocity,
+                                pressure=pressure))
     return RadiiField(values=radii, grid=grid), states
 
 
@@ -269,57 +327,85 @@ def final_radii(model: ArteryModel, grid: Grid, initial_radii, inlet=None):
     Row i equals ``solve_flow(..., initial_radii=initial_radii[i])``'s last
     column bit for bit, and every row is driven by the same ``inlet``. No
     per-step state is kept. A failing step raises SimulationError naming
-    that step, as :func:`solve_flow` does.
+    that step, as :func:`solve_flow` does. The result is a C-contiguous
+    ``(rows, nx)`` array.
     """
     initial_radii = np.asarray(initial_radii, dtype=float)
     if initial_radii.ndim != 2 or initial_radii.shape[1] != grid.nx:
         raise DomainError("initial radii must be a (rows, grid.nx) stack")
     for area, _, _ in _flow(model, grid, initial_radii, inlet):
         pass
-    return np.sqrt(area / np.pi)
+    return np.sqrt(area / np.pi).T.copy()
 
 
 def _flow(model, grid, initial_radii, inlet):
-    """The one step loop: yields (area, velocity, pressure) as
-    ``(rows, nx)`` arrays for each of the nt time indices, after that
-    step's checks. Each step makes fresh arrays, so nothing yielded is
-    written to again."""
+    """The one step loop, on a ``(rows, nx)`` stack of initial columns.
+
+    The fields are cell-major: one ``(3, nx + 2, rows)`` buffer holds
+    area, velocity and pressure with cells on axis 1 and the stacked rows
+    on axis 2, and one ghost cell at each end of the segment. Each step
+    advances it in place and yields the ``(nx, rows)`` views (area,
+    velocity, pressure) of its interior, after that step's checks, for
+    each of the nt time indices. A yielded array is valid until the next
+    step.
+    """
     if not np.all(initial_radii > 0):
         raise DomainError("radii must be positive")
+    fields = np.zeros((3, grid.nx + 2, len(initial_radii)))
+    area, velocity, pressure = fields
+    d, u, p = fields[:, 1:-1]
     # the initial column doubles as the rest geometry of the wall closure,
     # so every initial state is an equilibrium under zero forcing
-    sqrt_d_rest = np.sqrt(np.pi) * initial_radii
-    area = np.pi * initial_radii**2
-    velocity = np.zeros_like(area)
+    sqrt_d_rest = np.ascontiguousarray(np.sqrt(np.pi) * initial_radii.T)
+    d[:] = (np.pi * initial_radii**2).T
 
     waveform = (np.zeros(grid.nt) if inlet is None
                 else np.asarray(inlet, dtype=float))
     if waveform.shape != (grid.nt,):
         raise DomainError("inlet waveform length must equal nt")
+    # the inlet cell is driven through the wall closure, so its area at
+    # every step, and the first step whose root collapses it, are known
+    roots = sqrt_d_rest[0] + (waveform / model.beta)[:, None]
+    collapsed = np.flatnonzero((roots <= 0).any(axis=1))
+    collapse_step = collapsed[0] if collapsed.size else grid.nt
+    inlet_area = roots * roots
+    inlet_pressure = model.p_ext + waveform
+    work = _scratch(fields.shape[1:])
 
     for j in range(grid.nt):
-        # drive the inlet cell through the wall closure, zero-gradient outlet
-        root = sqrt_d_rest[:, 0] + waveform[j] / model.beta
-        if (root <= 0).any():
+        if j == collapse_step:
             raise SimulationError(
                 f"inlet pressure collapses the lumen at step {j}",
                 step_index=j)
-        area[:, 0] = root * root
-        area[:, -1] = area[:, -2]
-        velocity[:, -1] = velocity[:, -2]
-        # the step's one area check, which the tube law and the radii rely on
-        if not (np.isfinite(area).all() and (area > 0).all()
-                and np.isfinite(velocity).all()):
+        d[0] = inlet_area[j]
+        fields[:2, -2] = fields[:2, -3]  # zero-gradient outlet area, velocity
+        # the step's one area check, which the tube law and the radii rely
+        # on; written so that NaN fails it
+        u_lo, u_hi = u.min(), u.max()
+        if not (0 < d.min() and d.max() < np.inf
+                and -np.inf < u_lo and u_hi < np.inf):
             raise SimulationError(f"solver diverged at step {j}", step_index=j)
-        pressure = _tube_law(area, model, sqrt_d_rest)
-        pressure[:, 0] = model.p_ext + waveform[j]
-        pressure[:, -1] = pressure[:, -2]
-        yield area, velocity, pressure
+        # the linear-elastic tube law p = p_ext + beta*(sqrt(D) - sqrt(D_rest))
+        np.sqrt(d, out=p)
+        p -= sqrt_d_rest
+        p *= model.beta
+        p += model.p_ext
+        p[0] = inlet_pressure[j]
+        p[-1] = p[-2]
+        yield d, u, p
         if j == grid.nt - 1:
             break
+        # fixed ends: every ghost copies its edge cell
+        fields[:, 0] = fields[:, 1]
+        fields[:, -1] = fields[:, -2]
         try:
-            velocity = _momentum(velocity, pressure, grid, model, "fixed")
-            area = _continuity(area, velocity, grid, "fixed")
+            if j == 0:  # the diffusion number depends on the grid alone
+                _check_diffusion(grid, model)
+            _momentum(velocity, pressure, max(u_hi, -u_lo), grid, model,
+                      work)
+            # the new velocity's ghosts, for the continuity fluxes
+            velocity[0], velocity[-1] = velocity[1], velocity[-2]
+            _continuity(area, velocity, _abs_max(u), grid, work)
         except StabilityError as exc:
             raise SimulationError(f"solver unstable at step {j}: {exc}",
                                   step_index=j) from exc

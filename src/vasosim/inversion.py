@@ -80,10 +80,8 @@ class InverseProblem:
         if np.any(prior < r_min) or np.any(prior > r_max):
             raise DomainError("prior must lie within bounds")
         object.__setattr__(self, "prior", prior)
-        bursts = burst_matrix(self.pulse, self.grid, self.observed.fs,
-                              self.duration)
-        bursts.setflags(write=False)
-        object.__setattr__(self, "bursts", bursts)
+        object.__setattr__(self, "bursts", burst_matrix(
+            self.pulse, self.grid, self.observed.fs, self.duration))
 
     @property
     def duration(self):

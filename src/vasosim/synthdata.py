@@ -25,6 +25,7 @@ from .hemogrid import ArteryModel, Grid, RadiiField
 __all__ = [
     "ScenarioSpec",
     "LabeledSession",
+    "check_scenario",
     "echo_timing",
     "generate_scenario",
     "write_dataset",
@@ -56,16 +57,8 @@ class ScenarioSpec:
     perturbation_pa: float = 10.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown scenario kind {self.kind!r}")
-        if not 0 <= self.severity < 1:
-            raise DomainError("severity must lie in [0, 1)")
-        if self.sessions < 1:
-            raise DomainError("sessions must be >= 1")
-        if not self.noise_rms >= 0:
-            raise DomainError("noise_rms must be nonnegative")
-        if not self.stenosis_width > 0:
-            raise DomainError("stenosis_width must be positive")
+        check_scenario(self.kind, self.severity, self.sessions,
+                       self.noise_rms, self.stenosis_width)
         if self.kind != "baseline":
             half = 3 * self.stenosis_width
             if not (0 <= self.stenosis_center - half
@@ -76,6 +69,22 @@ class ScenarioSpec:
             object.__setattr__(self, "fs", fs)
         if self.duration is None:
             object.__setattr__(self, "duration", duration)
+
+
+def check_scenario(kind, severity, sessions, noise_rms, stenosis_width):
+    """DomainError unless the scenario values that do not depend on the
+    grid are valid; :class:`ScenarioSpec` adds the check that the stenosis
+    fits its grid."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown scenario kind {kind!r}")
+    if not 0 <= severity < 1:
+        raise DomainError("severity must lie in [0, 1)")
+    if sessions < 1:
+        raise DomainError("sessions must be >= 1")
+    if not noise_rms >= 0:
+        raise DomainError("noise_rms must be nonnegative")
+    if not stenosis_width > 0:
+        raise DomainError("stenosis_width must be positive")
 
 
 def echo_timing(pulse: PulseSpec, grid: Grid):

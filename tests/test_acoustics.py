@@ -217,6 +217,32 @@ class TestSynthesizeEcho:
                                fs=self.fs, duration=1e-8)
 
 
+class TestBurstMatrix:
+    def test_cached_read_only(self, pulse):
+        grid = make_grid(24)
+        fs = 8e5
+        first = ac.burst_matrix(pulse, grid, fs, 2.4 * 24 * grid.dx / pulse.c)
+        # the inversion's duration, samples / fs, differs as a float from
+        # the configured one but gives the same sample count
+        again = ac.burst_matrix(pulse, grid, fs, first.shape[1] / fs)
+        assert again is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_round_trip_checked_before_the_cache(self, pulse):
+        grid = make_grid(24)
+        fs = 8e5
+        round_trip = 2 * grid.nx * grid.dx / pulse.c
+        ac.burst_matrix(pulse, grid, fs, round_trip)
+        # just short of the round trip, with the same sample count as the
+        # cached call
+        short = round_trip * (1 - 1e-3)
+        assert round(short * fs) == round(round_trip * fs)
+        with pytest.raises(ConfigurationError):
+            ac.burst_matrix(pulse, grid, fs, short)
+
+
 class TestJacobian:
     """The closed-form dw/dr against central differences of the forward map."""
 

@@ -227,6 +227,26 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    # every command but gen-data and pipeline, with its positional input;
+    # no input file exists, so only load_config can have failed
+    OTHER_COMMANDS = [["simulate"], ["echo", "radii.csv"],
+                      ["invert", "echo.csv"], ["assess", "report.json"]]
+
+    @pytest.mark.parametrize("command", OTHER_COMMANDS,
+                             ids=lambda command: command[0])
+    @pytest.mark.parametrize(
+        "bad", [v for k, v in BAD_SCENARIO.items() if k != "geometry"],
+        ids=[k for k in BAD_SCENARIO if k != "geometry"])
+    def test_bad_scenario_rejected_by_every_command(self, tmp_path, capsys,
+                                                    command, bad):
+        path = write_config(tmp_path / "cfg.ini", {
+            **SMALL, "scenario": {**SMALL["scenario"], **bad}})
+        out = tmp_path / "out"
+        code = cli.main(["--config", path, "--out", str(out), *command])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_provider_down(self, small_config, tmp_path):
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"stenosis_index": 0.5}))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -324,6 +325,68 @@ class TestFinalRadii:
         g = make_grid(32, nt=5, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
         with pytest.raises(DomainError):
             hg.final_radii(model, g, np.full(shape, model.r0))
+
+
+class TestPinnedKernel:
+    """The step loop's own output, recorded before the loop ran in place
+    on ghosted buffers. solve_flow and final_radii share that one loop,
+    so comparing them cannot catch a change to it; these pins can."""
+
+    # SHA-256 of final_radii's bytes for the gen-data-large stack,
+    # recorded with numpy 2.4 on x86-64
+    LARGE_SHA256 = ("b79ab7efd01588a94c17c8588cebf58d"
+                    "80e1190332e8652860a5a7e0d68ca750")
+
+    @staticmethod
+    def _large(model):
+        """gen-data-large's flow run: 10 progressive-occlusion rows up to
+        severity 0.5 at the centre of a 128-cell grid, 2000 steps, and
+        the generator's inlet sine of amplitude 10 Pa."""
+        g = make_grid(128, nt=2000, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
+        stack = np.array([stenotic_column(model, g.nx, 64, 3.0, 0.5 * s / 9)
+                          for s in range(10)])
+        period = g.nt * g.dt
+        sine = np.sin(2 * np.pi * np.arange(g.nt) * g.dt / period)
+        return g, stack, sine
+
+    def test_large_bytes_pinned(self, model):
+        g, stack, sine = self._large(model)
+        final = hg.final_radii(model, g, stack, inlet=10.0 * sine)
+        assert final.shape == stack.shape and final.flags.c_contiguous
+        assert hashlib.sha256(final.tobytes()).hexdigest() == self.LARGE_SHA256
+
+    @pytest.mark.parametrize("gain, step", [(100, 313), (300, 125),
+                                            (1000, 61)])
+    def test_large_failing_step_pinned(self, model, gain, step):
+        g, stack, sine = self._large(model)
+        with pytest.raises(SimulationError, match="advective Courant") as err:
+            hg.final_radii(model, g, stack, inlet=10.0 * gain * sine)
+        assert err.value.step_index == step
+
+    # each of the loop's other checks, on a 32-cell stack of a healthy
+    # and a stenotic row: (model, nx, nt, dx, radius scale, inlet, step,
+    # reason)
+    SINE = np.sin(2 * np.pi * np.arange(400) / 400)
+    CHECKS = {
+        "continuity-cfl": (dict(alpha=10.0), 1e-3, 1.0, 1e6 * SINE, 14,
+                           "continuity CFL"),
+        "inlet-collapse": ({}, 1e-3, 0.05, -1e5 * SINE, 2,
+                           "collapses the lumen"),
+        "diverged": ({}, 1e-3, 1.0, np.where(np.arange(400) == 7, np.nan,
+                                             SINE), 7, "diverged"),
+        "diffusion": ({}, 1e-4, 1.0, None, 0, "diffusion number"),
+    }
+
+    @pytest.mark.parametrize("case", CHECKS.values(), ids=CHECKS)
+    def test_check_step_pinned(self, case):
+        params, dx, scale, inlet, step, reason = case
+        model = hg.ArteryModel(**params)
+        g = make_grid(32, nt=400, dx=dx, dt=2e-6, s_max=5.0, cfl=0.5)
+        stack = scale * np.array([np.full(32, model.r0),
+                                  stenotic_column(model, 32, 16, 2.0, 0.4)])
+        with pytest.raises(SimulationError, match=reason) as err:
+            hg.final_radii(model, g, stack, inlet=inlet)
+        assert err.value.step_index == step
 
 
 class TestRadiiCsv:
