@@ -17,7 +17,7 @@ inversion share one forward operator and its one derivative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,7 +66,6 @@ class PulseSpec:
     k_x: float
     k_r: float
     c: float
-    _skip_dispersion_check: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -75,14 +74,13 @@ class PulseSpec:
             raise DomainError("c must be positive")
         if self.k_x < 0 or self.k_r < 0:
             raise DomainError("wave numbers must be nonnegative")
-        if not self._skip_dispersion_check:
-            lhs = self.omega**2
-            rhs = self.c**2 * (self.k_x**2 + self.k_r**2)
-            if abs(lhs - rhs) > 1e-10 * max(lhs, rhs):
-                raise DomainError(
-                    f"dispersion closure violated: omega^2={lhs:.6e} vs "
-                    f"c^2(kx^2+kr^2)={rhs:.6e}"
-                )
+        lhs = self.omega**2
+        rhs = self.c**2 * (self.k_x**2 + self.k_r**2)
+        if abs(lhs - rhs) > 1e-10 * max(lhs, rhs):
+            raise DomainError(
+                f"dispersion closure violated: omega^2={lhs:.6e} vs "
+                f"c^2(kx^2+kr^2)={rhs:.6e}"
+            )
 
     @classmethod
     def axial(cls, omega, amp_forward, amp_reflected, c):
@@ -92,10 +90,14 @@ class PulseSpec:
 
     @classmethod
     def unchecked(cls, omega, amp_forward, amp_reflected, k_x, k_r, c):
-        """Test-only constructor bypassing the dispersion check."""
-        return cls(omega=omega, amp_forward=amp_forward,
-                   amp_reflected=amp_reflected, k_x=k_x, k_r=k_r, c=c,
-                   _skip_dispersion_check=True)
+        """Test-only constructor: sets the fields without running
+        ``__post_init__``, so no check applies."""
+        spec = object.__new__(cls)
+        for name, value in dict(omega=omega, amp_forward=amp_forward,
+                                amp_reflected=amp_reflected, k_x=k_x,
+                                k_r=k_r, c=c).items():
+            object.__setattr__(spec, name, value)
+        return spec
 
 
 @dataclass(frozen=True)

@@ -259,14 +259,15 @@ def cmd_echo(cfg: RunConfig, radii_path, out_dir, column=-1):
 
 
 def _invert(cfg: RunConfig, observed, path):
-    """Recover the radii behind ``observed`` and write them to ``path``."""
+    """Recover the radii behind ``observed``, write the solution record to
+    ``path`` and return it."""
     problem = InverseProblem(
         observed=observed, pulse=cfg.pulse, grid=cfg.grid, model=cfg.model,
         lam=cfg.lam)
     solver = inversion.get_solver(inversion.SOLVER_NAME)
-    solution = solver(problem, cfg.solver_options)
-    _write_json(path, solution.to_dict())
-    return solution
+    record = solver(problem, cfg.solver_options).to_dict()
+    _write_json(path, record)
+    return record
 
 
 def cmd_invert(cfg: RunConfig, echo_path, out_dir):
@@ -275,16 +276,23 @@ def cmd_invert(cfg: RunConfig, echo_path, out_dir):
     return path, _invert(cfg, acoustics.read_echo_csv(echo_path), path)
 
 
-def _report_from_solution(cfg, solution_dict, session_id="cli", timestamp=0.0,
-                          density_fractional_change=0.0, tof=0.0):
-    radii = np.asarray(solution_dict["radii_m"], dtype=float)
-    stenosis = float(np.clip(1.0 - np.min(radii) / cfg.model.r0, 0.0, 1.0))
+def _report(cfg: RunConfig, record):
+    """The provider's report from a JSON record: a report with its
+    ``stenosis_index``, or an ``invert`` solution, whose ``radii_m`` give
+    the index. Every other feature is read from the report's keys."""
+    if "radii_m" in record:
+        radii = np.asarray(record["radii_m"], dtype=float)
+        stenosis = float(np.clip(1.0 - np.min(radii) / cfg.model.r0, 0.0, 1.0))
+    else:
+        stenosis = record["stenosis_index"]
     return risk.BiophysicsReport(
         stenosis_index=stenosis,
-        density_fractional_change=density_fractional_change,
-        tof=tof, timestamp=timestamp, session_id=session_id,
-        residual_norm=float(solution_dict.get("residual_norm", 0.0)),
-        converged=bool(solution_dict.get("converged", True)),
+        density_fractional_change=record.get("density_fractional_change", 0.0),
+        tof=record.get("tof_s", 0.0),
+        timestamp=record.get("timestamp", 0.0),
+        session_id=record.get("session_id", "cli"),
+        residual_norm=record.get("residual_norm", 0.0),
+        converged=record.get("converged", True),
     )
 
 
@@ -300,25 +308,13 @@ def _assess(cfg: RunConfig, report, provider, sink):
     return tte, curve, payload
 
 
-def cmd_assess(cfg: RunConfig, input_path, out_dir, provider=None, sink=None):
+def cmd_assess(cfg: RunConfig, input_path, out_dir, provider=None):
     os.makedirs(out_dir, exist_ok=True)
     with open(input_path) as fh:
-        data = json.load(fh)
-    if "radii_m" in data:
-        report = _report_from_solution(cfg, data)
-    else:
-        report = risk.BiophysicsReport(
-            stenosis_index=data["stenosis_index"],
-            density_fractional_change=data.get("density_fractional_change", 0.0),
-            tof=data.get("tof_s", 0.0),
-            timestamp=data.get("timestamp", 0.0),
-            session_id=data.get("session_id", "cli"),
-            residual_norm=data.get("residual_norm", 0.0),
-            converged=data.get("converged", True),
-        )
+        report = _report(cfg, json.load(fh))
     if provider is None:
         provider = _make_provider(cfg)
-    tte, curve, payload = _assess(cfg, report, provider, sink)
+    tte, curve, payload = _assess(cfg, report, provider, None)
     with open(os.path.join(out_dir, "probs.csv"), "w") as fh:
         fh.write("step,prob\n")
         fh.write(f"0,{curve.prob_now!r}\n")
@@ -343,47 +339,43 @@ def cmd_gen_data(cfg: RunConfig, out_dir, seed=None):
     return spec, sessions, manifest
 
 
-def cmd_pipeline(cfg: RunConfig, out_dir, seed=None, provider=None):
+def cmd_pipeline(cfg: RunConfig, out_dir, seed=None):
     """generate -> invert each generated echo -> assess, one manifest."""
     # no makedirs of out_dir first: cmd_gen_data checks [scenario] before it
     # writes anything, and making the dataset directory makes out_dir too
     data_dir = os.path.join(out_dir, "dataset")
     spec, sessions, _ = cmd_gen_data(cfg, data_dir, seed=seed)
-    if provider is None:
-        provider = _make_provider(cfg)
+    provider = _make_provider(cfg)
     sink = risk.FileSink(os.path.join(out_dir, "alerts.jsonl"))
     incident = acoustics.incident_pulse(spec.pulse, spec.fs, spec.duration)
 
+    # the first session whose ToF is found is the density reference
     tof_ref = None
     results = []
     for sess in sessions:
         sol_path = os.path.join(out_dir, f"solution_{sess.session_index:04d}.json")
         solution = _invert(cfg, sess.echo, sol_path)
-
         try:
             tof = acoustics.estimate_tof(incident, sess.echo)
-            tof_s = tof.tof
         except EstimationError:
-            tof, tof_s = None, 0.0
-        if tof_ref is None and tof is not None:
-            tof_ref = tof
-        if tof is not None and tof_ref is not None and tof_ref.tof > 0 \
-                and tof.tof > 0:
+            tof = None
+        tof_ref = tof_ref or tof
+        if tof is not None and tof_ref.tof > 0 and tof.tof > 0:
             density = acoustics.density_change(tof_ref, tof).fractional_change
         else:
             density = 0.0
-
-        report = _report_from_solution(
-            cfg, solution.to_dict(), session_id=sess.echo.session_id,
-            timestamp=sess.session_index * cfg.step_seconds,
-            density_fractional_change=density, tof=tof_s)
+        report = _report(cfg, {
+            **solution, "density_fractional_change": density,
+            "tof_s": 0.0 if tof is None else tof.tof,
+            "timestamp": sess.session_index * cfg.step_seconds,
+            "session_id": sess.echo.session_id})
         tte, curve, payload = _assess(cfg, report, provider, sink)
         results.append({
             "session": sess.session_index,
             "label_v": sess.label_v,
             "stenosis_index": report.stenosis_index,
-            "converged": solution.converged,
-            "iterations": solution.iterations,
+            "converged": solution["converged"],
+            "iterations": solution["iterations"],
             "prob_now": curve.prob_now,
             "tte": tte.to_dict(),
             "severity": payload.severity,
@@ -456,8 +448,8 @@ def main(argv=None):
         elif args.command == "echo":
             cmd_echo(cfg, args.radii_path, args.out, column=args.column)
         elif args.command == "invert":
-            _, solution = cmd_invert(cfg, args.echo_path, args.out)
-            if not solution.converged:
+            _, record = cmd_invert(cfg, args.echo_path, args.out)
+            if not record["converged"]:
                 print("inversion did not converge", file=sys.stderr)
                 return EXIT_NOT_CONVERGED
         elif args.command == "assess":

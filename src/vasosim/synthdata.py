@@ -207,13 +207,6 @@ def _atomic_write(path, write):
         raise
 
 
-def _spec_to_json(spec: ScenarioSpec):
-    """Every field of the spec and its grid, model and pulse, less the
-    private ones (PulseSpec's dispersion-check flag)."""
-    return asdict(spec, dict_factory=lambda items: {
-        key: value for key, value in items if not key.startswith("_")})
-
-
 def write_dataset(sessions, path, spec: ScenarioSpec):
     """Write sessions + manifest under ``path``; returns the manifest dict.
 
@@ -247,7 +240,7 @@ def write_dataset(sessions, path, spec: ScenarioSpec):
         })
     manifest = {
         "format_version": FORMAT_VERSION,
-        "spec": _spec_to_json(spec),
+        "spec": asdict(spec),
         "sessions": entries,
         "checksums": checksums,
     }

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import make_grid, stenotic_column
-from vasosim import acoustics, cli, hemogrid, synthdata
-from vasosim.errors import ConfigurationError
+from vasosim import acoustics, cli, hemogrid, risk, synthdata
+from vasosim.errors import ConfigurationError, EstimationError
 from vasosim.hemogrid import RadiiField
 
 
@@ -604,6 +604,53 @@ class TestGenDataAndPipeline:
                                      str(tmp_path / f"inv{rec['session']}"))
             with open(path, "rb") as fh:
                 assert fh.read() == (run / rec["solution_file"]).read_bytes()
+
+    def test_assess_solution_matches_pipeline_session0(self, tmp_path,
+                                                      monkeypatch):
+        # session 0 is its own ToF reference, so its density is the 0.0
+        # that assess defaults to; the logistic provider reads no ToF,
+        # timestamp or session id, so both paths give the same risk
+        monkeypatch.delenv(cli.DEFAULT_CONFIG_ENV, raising=False)
+        cfg = cli.load_config(None)
+        for seed in (0, 1, 7):
+            run = tmp_path / f"seed{seed}"
+            _, results = cli.cmd_pipeline(cfg, str(run), seed=seed)
+            tte, curve, payload = cli.cmd_assess(
+                cfg, str(run / results[0]["solution_file"]),
+                str(run / "assess"))
+            assert curve.prob_now == results[0]["prob_now"], seed
+            assert tte.tte_step == results[0]["tte"]["tte_step"], seed
+            assert tte.max_prob == results[0]["tte"]["max_prob"], seed
+            assert payload.severity == results[0]["severity"], seed
+
+    def test_tof_reference_is_first_found(self, tmp_path, monkeypatch):
+        cfg = cli.load_config(write_config(tmp_path / "cfg.ini", {
+            **SMALL, "scenario": {**SMALL["scenario"], "sessions": 3}}))
+        estimate_tof, likelihood_curve = (acoustics.estimate_tof,
+                                          risk.likelihood_curve)
+        tofs, reports = {}, []
+
+        def fail_first(incident, echo):
+            if echo.session_id == "s0000":
+                raise EstimationError("no peak")
+            tof = estimate_tof(incident, echo)
+            tofs[echo.session_id] = tof.tof
+            return tof
+
+        def record(report, *args, **kwargs):
+            reports.append(report)
+            return likelihood_curve(report, *args, **kwargs)
+
+        monkeypatch.setattr(acoustics, "estimate_tof", fail_first)
+        monkeypatch.setattr(risk, "likelihood_curve", record)
+        cli.cmd_pipeline(cfg, str(tmp_path / "run"))
+        assert [r.session_id for r in reports] == ["s0000", "s0001", "s0002"]
+        assert reports[0].tof == 0.0
+        assert reports[0].density_fractional_change == 0.0
+        assert reports[1].tof == tofs["s0001"] > 0
+        assert reports[1].density_fractional_change == 0.0
+        assert reports[2].density_fractional_change == \
+            (tofs["s0002"] / tofs["s0001"]) ** 2 - 1
 
     def test_pipeline_bytes_pinned(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.ini", PINNED_PIPELINE)
