@@ -193,8 +193,8 @@ def load_config(path=None, overrides=None):
             **rsk, **scenario, **v["simulate"])
         if cfg.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
-        if cfg.provider_name == "llm" and not cfg.endpoint:
-            raise ConfigurationError("llm provider requires an endpoint")
+        if cfg.provider_name == "llm":
+            _make_provider(cfg)  # rejects an endpoint that is not http(s)
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc
     return cfg
@@ -276,22 +276,42 @@ def cmd_invert(cfg: RunConfig, echo_path, out_dir):
     return path, _invert(cfg, acoustics.read_echo_csv(echo_path), path)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _report(cfg: RunConfig, record):
     """The provider's report from a JSON record: a report with its
     ``stenosis_index``, or an ``invert`` solution, whose ``radii_m`` give
-    the index. Every other feature is read from the report's keys."""
+    the index. Every other feature is read from the report's keys.
+    Raises ConfigurationError on a record that is neither."""
+    if not isinstance(record, dict):
+        raise ConfigurationError("a report must be a JSON object")
+
+    def number(key, default):
+        value = record.get(key, default)
+        if not _is_number(value):
+            raise ConfigurationError(
+                f"report key {key!r} must be a number, not {value!r}")
+        return value
+
     if "radii_m" in record:
-        radii = np.asarray(record["radii_m"], dtype=float)
+        radii = record["radii_m"]
+        if not (isinstance(radii, list) and radii
+                and all(map(_is_number, radii))):
+            raise ConfigurationError(
+                "radii_m must be a nonempty list of numbers")
+        radii = np.asarray(radii, dtype=float)
         stenosis = float(np.clip(1.0 - np.min(radii) / cfg.model.r0, 0.0, 1.0))
     else:
-        stenosis = record["stenosis_index"]
+        stenosis = number("stenosis_index", None)
     return risk.BiophysicsReport(
         stenosis_index=stenosis,
-        density_fractional_change=record.get("density_fractional_change", 0.0),
-        tof=record.get("tof_s", 0.0),
-        timestamp=record.get("timestamp", 0.0),
+        density_fractional_change=number("density_fractional_change", 0.0),
+        tof=number("tof_s", 0.0),
+        timestamp=number("timestamp", 0.0),
         session_id=record.get("session_id", "cli"),
-        residual_norm=record.get("residual_norm", 0.0),
+        residual_norm=number("residual_norm", 0.0),
         converged=record.get("converged", True),
     )
 

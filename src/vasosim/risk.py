@@ -10,14 +10,19 @@ reference, and a remote client speaking the JSON wire protocol
 """
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import math
+import netrc
 import os
+import ssl
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import requests
 
 from .errors import (
     CurveError,
@@ -208,30 +213,55 @@ class LlmProvider:
     optional ``recommendation`` from the last successful response is kept
     on ``last_recommendation``.
 
-    A session built here resolves the environment's proxies, CA bundle and
-    netrc credentials for ``endpoint`` once, instead of on every request;
-    a caller-supplied ``session`` is used as given.
+    Each provider keeps one HTTP/1.1 keep-alive connection, opened on first
+    use and opened again after the server closes it or a request fails; a
+    kept connection the server dropped while idle is reopened at once,
+    without counting as a retry. The environment's ``http_proxy``,
+    ``https_proxy`` and ``no_proxy``, ``~/.netrc`` credentials for the
+    endpoint's host, and for HTTPS the system CA store (or
+    ``SSL_CERT_FILE``) are resolved once, here. :meth:`close`, or dropping
+    the provider, closes the connection.
     """
 
+    _conn = None  # the kept http.client connection, None until first use
+
     def __init__(self, endpoint, timeout=5.0, template_version="v1",
-                 step_seconds=3600.0, max_retries=2, backoff=0.1,
-                 session=None):
+                 step_seconds=3600.0, max_retries=2, backoff=0.1):
         self.endpoint = endpoint
         self.timeout = timeout
         self.template_version = template_version
         self.step_seconds = step_seconds
         self.max_retries = max_retries
         self.backoff = backoff
-        if session is None:
-            session = requests.Session()
-            env = session.merge_environment_settings(
-                endpoint, {}, None, None, None)
-            session.proxies = env["proxies"]
-            session.verify = env["verify"]
-            session.auth = requests.utils.get_netrc_auth(endpoint)
-            session.trust_env = False
-        self._http = session
         self.last_recommendation = None
+
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise DomainError(f"endpoint {endpoint!r} is not an http(s) URL")
+        netloc = url.netloc.rpartition("@")[2]
+        self._path = urllib.parse.urlunsplit(
+            ("", "", url.path or "/", url.query, ""))
+        credentials = _netrc_credentials(url.hostname) or _credentials(url)
+        self._headers = {"Content-Type": "application/json",
+                         **_auth_header("Authorization", credentials)}
+
+        self._address, self._tunnel, self._context = netloc, None, None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(netloc):
+            proxy = urllib.parse.urlsplit(
+                proxy if "://" in proxy else "http://" + proxy)
+            self._address = proxy.netloc.rpartition("@")[2]
+            proxy_headers = _auth_header("Proxy-Authorization",
+                                         _credentials(proxy))
+            if url.scheme == "https":
+                self._tunnel = (netloc, proxy_headers)
+            else:
+                # a plain HTTP proxy is sent the absolute URL
+                self._path = urllib.parse.urlunsplit(url._replace(
+                    netloc=netloc, path=url.path or "/", fragment=""))
+                self._headers.update(proxy_headers)
+        if url.scheme == "https":
+            self._context = ssl.create_default_context()
 
     def __call__(self, report: BiophysicsReport, step: int):
         body = {
@@ -240,23 +270,31 @@ class LlmProvider:
             "step_seconds": self.step_seconds,
             "features": report.features(),
         }
+        try:
+            data = json.dumps(body, allow_nan=False).encode()
+        except ValueError as exc:
+            raise ProtocolError("features must be finite numbers") from exc
         last_exc = None
         for attempt in range(self.max_retries + 1):
             delay = self.backoff * 2**attempt
             try:
-                resp = self._http.post(self.endpoint, json=body,
-                                       timeout=self.timeout)
-            except requests.Timeout as exc:
+                resp = self._send(data)
+                answer = resp.read()
+            except TimeoutError as exc:
+                self.close()
                 last_exc = ProviderTimeoutError(
                     f"no answer from {self.endpoint} within {self.timeout}s")
                 last_exc.__cause__ = exc
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
+                self.close()
                 last_exc = TransportError(f"transport failure: {exc}")
                 last_exc.__cause__ = exc
             else:
-                status = resp.status_code
+                if resp.will_close:
+                    self.close()
+                status = resp.status
                 if 200 <= status < 300:
-                    return self._parse(resp)
+                    return self._parse(answer)
                 last_exc = TransportError(
                     f"{self.endpoint} answered status {status}")
                 if not (status == 429 or 500 <= status < 600):
@@ -265,6 +303,42 @@ class LlmProvider:
             if attempt < self.max_retries:
                 time.sleep(delay)
         raise last_exc
+
+    def _send(self, data):
+        """POST ``data`` on the kept connection and return the response
+        with its status and headers read. A kept connection that the server
+        closed before answering is replaced once, at once."""
+        reused = self._conn is not None
+        if not reused:
+            self._conn = self._open()
+        try:
+            self._conn.request("POST", self._path, body=data,
+                               headers=self._headers)
+            return self._conn.getresponse()
+        except (ConnectionResetError, BrokenPipeError):
+            # RemoteDisconnected is a ConnectionResetError: no answer byte
+            if not reused:
+                raise
+            self.close()
+            return self._send(data)
+
+    def _open(self):
+        if self._context is None:
+            return http.client.HTTPConnection(self._address,
+                                              timeout=self.timeout)
+        conn = http.client.HTTPSConnection(self._address, timeout=self.timeout,
+                                           context=self._context)
+        if self._tunnel:
+            conn.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
+        return conn
+
+    def close(self):
+        """Close the kept connection; the next call opens a new one."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    __del__ = close
 
     def _retry_after(self, resp, default):
         """A numeric Retry-After header in seconds, capped at the timeout;
@@ -277,9 +351,9 @@ class LlmProvider:
             return default
         return min(seconds, self.timeout)
 
-    def _parse(self, resp):
+    def _parse(self, answer):
         try:
-            payload = resp.json()
+            payload = json.loads(answer)
         except ValueError as exc:
             raise ProtocolError("response is not valid JSON") from exc
         if not isinstance(payload, dict) or "probability" not in payload:
@@ -290,6 +364,32 @@ class LlmProvider:
             raise ProtocolError("'recommendation' must be a string")
         self.last_recommendation = rec
         return p
+
+
+def _credentials(url):
+    """(user, password) from a split URL's user info; None without one."""
+    if url.username is None:
+        return None
+    return (urllib.parse.unquote(url.username),
+            urllib.parse.unquote(url.password or ""))
+
+
+def _netrc_credentials(host):
+    """(login, password) for ``host`` from ``$NETRC`` or ``~/.netrc``;
+    None when the file is missing or unreadable or names no such host."""
+    try:
+        entry = netrc.netrc(os.environ.get("NETRC")).authenticators(host)
+    except (OSError, netrc.NetrcParseError):
+        return None
+    return entry and (entry[0] or entry[1], entry[2])
+
+
+def _auth_header(name, credentials):
+    """``{name: "Basic ..."}`` for (user, password); {} for None."""
+    if not credentials:
+        return {}
+    token = base64.b64encode(":".join(credentials).encode()).decode("ascii")
+    return {name: f"Basic {token}"}
 
 
 def llm_provider(endpoint, **kwargs):

@@ -134,6 +134,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("command", [["assess", "report.json"],
+                                         ["pipeline"]],
+                             ids=lambda command: command[0])
+    def test_llm_endpoint_not_http_exits_before_output(self, tmp_path,
+                                                        capsys, command):
+        out = tmp_path / "out"
+        code = cli.main(["--provider", "llm", "--endpoint", "127.0.0.1:1",
+                         "--out", str(out), *command])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_unstable_grid_rejected(self, tmp_path):
         path = write_config(tmp_path / "bad.ini",
                             {"grid": {"dt": 1.0}})
@@ -510,6 +522,17 @@ class TestInvert:
 
 
 class TestAssess:
+    @pytest.mark.parametrize("text", ['[1, 2]', '{"stenosis_index": "0.3"}',
+                                      '{"radii_m": []}'],
+                             ids=["list", "string-index", "empty-radii"])
+    def test_not_a_report(self, small_config, tmp_path, capsys, text):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        code = cli.main(["--config", small_config, "--out",
+                         str(tmp_path / "out"), "assess", str(report)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_default_logistic(self, small_config, tmp_path):
         report = tmp_path / "report.json"
         report.write_text(json.dumps({

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +20,16 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert [n for n in exported if n not in namespace] == []
+
+
+def test_cli_imports_no_http_library():
+    # the remote provider runs on the standard library; an HTTP library
+    # pulled in by the import adds its import time and memory to every run
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, vasosim.cli; "
+         "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -2,7 +2,7 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -187,11 +187,13 @@ class TestComputeTte:
 class _StubHandler(BaseHTTPRequestHandler):
     behavior = staticmethod(lambda body: (200, {"probability": 0.5}))
     requests_seen = []
+    headers_seen = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).requests_seen.append(body)
+        type(self).headers_seen.append(self.headers)
         # behavior returns (status, payload) or (status, payload, headers)
         status, payload, *headers = type(self).behavior(body)
         data = json.dumps(payload).encode() if payload is not None else b"x"
@@ -209,12 +211,57 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def stub_server():
-    handler = type("Handler", (_StubHandler,), {"requests_seen": []})
+    handler = type("Handler", (_StubHandler,),
+                   {"requests_seen": [], "headers_seen": []})
     server = HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         yield handler, f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class _CountingServer(ThreadingHTTPServer):
+    """Counts the connections it accepts; ``closed`` is set each time it
+    has closed one."""
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.connections = 0
+        self.closed = threading.Event()
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
+
+
+@pytest.fixture
+def keepalive_server():
+    """An HTTP/1.1 stub; a handler whose ``drop`` is true closes the
+    connection after its answer without saying so."""
+    handler = type("Handler", (_StubHandler,), {
+        "requests_seen": [], "headers_seen": [],
+        "protocol_version": "HTTP/1.1", "drop": False,
+        # the answer goes out in two writes; with Nagle on, the second
+        # waits for the client's delayed ACK
+        "disable_nagle_algorithm": True})
+
+    def handle_one_request(self):
+        _StubHandler.handle_one_request(self)
+        self.close_connection = self.close_connection or type(self).drop
+
+    handler.handle_one_request = handle_one_request
+    server = _CountingServer(handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield handler, server, f"http://127.0.0.1:{server.server_address[1]}/"
     finally:
         server.shutdown()
         server.server_close()
@@ -322,6 +369,85 @@ class TestLlmProvider:
                                      timeout=2.0, max_retries=0)
         assert provider(make_report(), 0) == 0.3
         assert len(handler.requests_seen) == 1
+
+    def test_netrc_and_proxy_credentials_sent(self, stub_server, tmp_path,
+                                              monkeypatch):
+        handler, url = stub_server
+        netrc_path = tmp_path / "netrc"
+        netrc_path.write_text("machine vasosim-endpoint.invalid "
+                              "login ann password s3cret\n")
+        monkeypatch.setenv("NETRC", str(netrc_path))
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", url.replace("//", "//bob:p%40ss@"))
+        provider = risk.llm_provider("http://vasosim-endpoint.invalid/",
+                                     timeout=2.0, max_retries=0)
+        assert provider(make_report(), 0) == 0.5
+        headers = handler.headers_seen[-1]
+        assert headers["Authorization"] == "Basic YW5uOnMzY3JldA=="
+        assert headers["Proxy-Authorization"] == "Basic Ym9iOnBAc3M="
+
+    def test_proxy_bypassed_for_no_proxy_host(self, stub_server,
+                                              monkeypatch):
+        # nothing listens on port 1, so only a direct connection answers
+        handler, url = stub_server
+        for name in ("NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:1/")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        provider = risk.llm_provider(url, timeout=2.0, max_retries=0)
+        assert provider(make_report(), 0) == 0.5
+        assert len(handler.requests_seen) == 1
+
+    def test_one_connection_per_provider(self, keepalive_server):
+        handler, server, url = keepalive_server
+        provider = risk.llm_provider(url, timeout=2.0)
+        curve = risk.likelihood_curve(make_report(), provider, 24)
+        # dropping the provider closes its socket; a leaked one would
+        # fail the test with a ResourceWarning
+        del provider
+        assert curve.prob_now == 0.5
+        assert len(handler.requests_seen) == 25
+        assert server.connections == 1
+
+    def test_closing_server_sees_one_post_per_call(self, stub_server):
+        # the HTTP/1.0 stub closes after every answer: each call opens a
+        # new connection, and none waits out the backoff
+        handler, url = stub_server
+        provider = risk.llm_provider(url, timeout=2.0, backoff=5.0)
+        start = time.monotonic()
+        for calls in range(1, 4):
+            assert provider(make_report(), calls) == 0.5
+            assert len(handler.requests_seen) == calls
+        assert time.monotonic() - start < 2.0
+
+    def test_idle_connection_dropped_by_server(self, keepalive_server):
+        handler, server, url = keepalive_server
+        handler.drop = True
+        provider = risk.llm_provider(url, timeout=2.0, backoff=5.0)
+        assert provider(make_report(), 0) == 0.5
+        assert server.closed.wait(timeout=5.0)
+        start = time.monotonic()
+        assert provider(make_report(), 1) == 0.5
+        assert time.monotonic() - start < 2.0  # no retry sleep
+        provider.close()
+        assert [body["horizon_step"] for body in handler.requests_seen] \
+            == [0, 1]
+        assert server.connections == 2
+
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:8080/", "ftp://host/",
+                                          "http:///path"])
+    def test_endpoint_must_be_http_url(self, endpoint):
+        with pytest.raises(DomainError):
+            risk.llm_provider(endpoint)
+
+    def test_non_finite_feature_not_sent(self, stub_server):
+        # the wire format is JSON, which has no infinity
+        handler, url = stub_server
+        provider = risk.llm_provider(url, timeout=2.0)
+        with pytest.raises(ProtocolError):
+            provider(make_report(density=math.inf), 0)
+        assert handler.requests_seen == []
 
     def test_unreachable_endpoint(self):
         provider = risk.llm_provider("http://127.0.0.1:1/", timeout=0.2,
