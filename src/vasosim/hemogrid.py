@@ -13,13 +13,17 @@ reduction of the nondimensional viscous momentum balance
 
 The system is closed by a linear-elastic tube law mapping area to pressure.
 
-Each stencil is coded once, as an in-place kernel on ghosted arrays whose
-first axis runs along the segment with one ghost cell at each end. The
-step loop is cell-major: one ``(3, nx + 2, rows)`` buffer holds area,
-velocity and pressure for a stack of columns advanced together, and each
-step overwrites it, so an array the loop yields is valid until the next
-step. :func:`step_continuity` and :func:`step_momentum` fill periodic or
-fixed ghost cells around one column and call the same kernels.
+Each stencil is coded once, as a step bound to ghosted arrays whose
+first axis runs along the segment with one ghost cell at each end: the
+views, scratch arrays and constants are fixed when the step is built, so
+each call only runs ufuncs in place. The step loop is cell-major: one
+``(3, nx + 2, rows)`` buffer holds area, velocity and pressure for a stack
+of columns advanced together, it builds its steps once per run over that
+buffer, and each step overwrites it, so an array the loop yields is valid
+until the next step. :func:`step_continuity` and :func:`step_momentum`
+fill periodic or fixed ghost cells around one column and build and call
+the same steps once. Binding changes no rounding: every operation runs in
+the order the stencil is written.
 """
 from __future__ import annotations
 
@@ -150,7 +154,7 @@ class FlowState:
 def _abs_max(u):
     """max|u| from one min/max pair; NaN gives NaN, as np.abs(u).max()
     does."""
-    return max(u.max(), -u.min())
+    return max(np.maximum.reduce(u, None), -np.minimum.reduce(u, None))
 
 
 def _ghosted(bc, *columns):
@@ -165,9 +169,9 @@ def _ghosted(bc, *columns):
 
 
 def _scratch(shape):
-    """Work arrays for :func:`_momentum` and :func:`_continuity` on ghosted
-    fields of ``shape``: two floats per interface, two per cell and a mask
-    per interface."""
+    """Work arrays for :func:`_momentum_step` and :func:`_continuity_step`
+    on ghosted fields of ``shape``: two floats per interface, two per cell
+    and a mask per interface."""
     nx, rest = shape[0] - 2, shape[1:]
     return (np.empty((nx + 1, *rest)), np.empty((nx + 1, *rest)),
             np.empty((nx, *rest)), np.empty((nx, *rest)),
@@ -186,32 +190,46 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
     if d.shape != (grid.nx,):
         raise DomainError("state dimensions do not match grid")
     area, velocity = _ghosted(bc, d, u)
-    _continuity(area, velocity, _abs_max(u), grid, _scratch(area.shape))
+    _continuity_step(area, velocity, grid, _scratch(area.shape))()
     return FlowState(area=area[1:-1], velocity=u.copy(),
                      pressure=state.pressure.copy())
 
 
-def _continuity(D, U, u_max, grid, work):
-    """Advance the area ``D[1:-1]`` one step of :func:`step_continuity` in
-    place. ``D`` and ``U`` run along the segment on axis 0 with filled
-    ghost cells at each end; ``u_max`` is max|u| over every cell, for the
-    CFL check."""
-    courant = u_max * grid.dt / grid.dx
-    if courant > 1:
-        raise StabilityError(f"continuity CFL violated: |u|dt/dx = {courant:.3g} > 1")
+def _continuity_step(D, U, grid, work):
+    """One step of :func:`step_continuity`, bound to ``D``, ``U`` and
+    ``work``: calling it advances the area ``D[1:-1]`` in place. ``D`` and
+    ``U`` run along the segment on axis 0; their ghost cells must be filled
+    before each call. The CFL check reads max|u| over ``U[1:-1]``."""
     uh, flux, dflux, _, upwind = work
-    # upwind flux of F = u*D at the nx+1 cell interfaces: pick the upwind
-    # cell's area, then multiply; as in _momentum, the operations keep the
-    # order of d - (dt/dx)*(flux_r - flux_l) with flux = (0.5*(u_l + u_r))*D
-    np.add(U[:-1], U[1:], out=uh)
-    uh *= 0.5
-    np.greater_equal(uh, 0, out=upwind)
-    np.copyto(flux, D[1:])
-    np.copyto(flux, D[:-1], where=upwind)
-    flux *= uh
-    np.subtract(flux[1:], flux[:-1], out=dflux)
-    dflux *= grid.dt / grid.dx
-    D[1:-1] -= dflux
+    u, u_l, u_r = U[1:-1], U[:-1], U[1:]
+    d, d_l, d_r = D[1:-1], D[:-1], D[1:]
+    flux_l, flux_r = flux[:-1], flux[1:]
+    # the constants as 0-d float64 arrays, which a ufunc takes faster than
+    # Python floats, each rounded as in the expression it stands for
+    half, zero, dt_dx = map(np.array, (0.5, 0.0, grid.dt / grid.dx))
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    greater_equal, copyto = np.greater_equal, np.copyto
+
+    def step():
+        courant = _abs_max(u) * grid.dt / grid.dx
+        if courant > 1:
+            raise StabilityError(
+                f"continuity CFL violated: |u|dt/dx = {courant:.3g} > 1")
+        # upwind flux of F = u*D at the nx+1 cell interfaces: pick the
+        # upwind cell's area, then multiply; as in _momentum_step, the
+        # operations keep the order of d - (dt/dx)*(flux_r - flux_l) with
+        # flux = (0.5*(u_l + u_r))*D
+        add(u_l, u_r, uh)
+        multiply(uh, half, uh)
+        greater_equal(uh, zero, upwind)
+        copyto(flux, d_r)
+        copyto(flux, d_l, where=upwind)
+        multiply(flux, uh, flux)
+        subtract(flux_r, flux_l, dflux)
+        multiply(dflux, dt_dx, dflux)
+        subtract(d, dflux, d)
+
+    return step
 
 
 def _check_diffusion(grid, model):
@@ -239,49 +257,63 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
         raise DomainError("state dimensions do not match grid")
     _check_diffusion(grid, model)
     velocity, pressure = _ghosted(bc, u, p)
-    _momentum(velocity, pressure, _abs_max(u), grid, model,
-              _scratch(velocity.shape), nonlinear)
+    _momentum_step(velocity, pressure, grid, model, _scratch(velocity.shape),
+                   nonlinear)(_abs_max(u))
     return FlowState(area=state.area.copy(), velocity=velocity[1:-1],
                      pressure=p.copy())
 
 
-def _momentum(U, P, u_max, grid, model, work, nonlinear=True):
-    """Advance the velocity ``U[1:-1]`` one step of :func:`step_momentum`
-    in place. ``U`` and ``P`` run along the segment on axis 0 with filled
-    ghost cells at each end; ``u_max`` is max|u| over every cell, for the
-    advective Courant check. The diffusion bound is the caller's
-    (:func:`_check_diffusion`)."""
+def _momentum_step(U, P, grid, model, work, nonlinear=True):
+    """One step of :func:`step_momentum`, bound to ``U``, ``P`` and
+    ``work``: calling it with ``u_max``, max|u| over every cell, advances
+    the velocity ``U[1:-1]`` in place. ``U`` and ``P`` run along the
+    segment on axis 0; their ghost cells must be filled before each call.
+    ``u_max`` is for the advective Courant check; the diffusion bound is
+    the caller's (:func:`_check_diffusion`)."""
     scale = model.re / model.alpha**2
-    adv_courant = scale * u_max * grid.dt / grid.dx
-    if adv_courant > 1:
-        raise StabilityError(
-            f"momentum advective Courant number {adv_courant:.3g} exceeds 1"
-        )
     du, _, dpdx, rhs, upwind = work
-    u = U[1:-1]
-    # u + dt*scale*(-dp/dx + (1/Re)*(u_p - 2u + u_m)/dx^2 - u*du/dx), each
-    # operation rounded in the order written: the pinned outputs rely on it
-    np.subtract(P[2:], P[:-2], out=dpdx)
-    dpdx /= 2 * grid.dx
-    np.multiply(u, 2, out=rhs)
-    np.subtract(U[2:], rhs, out=rhs)
-    rhs += U[:-2]
-    rhs /= grid.dx**2
-    rhs *= 1.0 / model.re
-    rhs -= dpdx
-    if nonlinear:
-        # du[i] is cell i's backward difference and cell i-1's forward one:
-        # pick the upwind difference, then divide
-        np.subtract(U[1:], U[:-1], out=du)
-        upwind = upwind[:-1]
-        np.greater_equal(u, 0, out=upwind)
-        np.copyto(dpdx, du[1:])
-        np.copyto(dpdx, du[:-1], where=upwind)
-        dpdx /= grid.dx
-        dpdx *= u
-        rhs -= dpdx
-    rhs *= grid.dt * scale
-    u += rhs
+    upwind = upwind[:-1]
+    u, u_p, u_m, p_p, p_m = U[1:-1], U[2:], U[:-2], P[2:], P[:-2]
+    du_r, du_l, u_r, u_l = du[1:], du[:-1], U[1:], U[:-1]
+    # 0-d float64 constants, as in _continuity_step
+    two, zero, two_dx, dx, dx2, inv_re, gain = map(np.array, (
+        2.0, 0.0, 2 * grid.dx, grid.dx, grid.dx**2, 1.0 / model.re,
+        grid.dt * scale))
+    add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
+                                       np.true_divide)
+    greater_equal, copyto = np.greater_equal, np.copyto
+
+    def step(u_max):
+        adv_courant = scale * u_max * grid.dt / grid.dx
+        if adv_courant > 1:
+            raise StabilityError(
+                f"momentum advective Courant number {adv_courant:.3g} "
+                "exceeds 1")
+        # u + dt*scale*(-dp/dx + (1/Re)*(u_p - 2u + u_m)/dx^2 - u*du/dx),
+        # each operation rounded in the order written: the pinned outputs
+        # rely on it
+        subtract(p_p, p_m, dpdx)
+        divide(dpdx, two_dx, dpdx)
+        multiply(u, two, rhs)
+        subtract(u_p, rhs, rhs)
+        add(rhs, u_m, rhs)
+        divide(rhs, dx2, rhs)
+        multiply(rhs, inv_re, rhs)
+        subtract(rhs, dpdx, rhs)
+        if nonlinear:
+            # du[i] is cell i's backward difference and cell i-1's forward
+            # one: pick the upwind difference, then divide
+            subtract(u_r, u_l, du)
+            greater_equal(u, zero, upwind)
+            copyto(dpdx, du_r)
+            copyto(dpdx, du_l, where=upwind)
+            divide(dpdx, dx, dpdx)
+            multiply(dpdx, u, dpdx)
+            subtract(rhs, dpdx, rhs)
+        multiply(rhs, gain, rhs)
+        add(u, rhs, u)
+
+    return step
 
 
 def solve_flow(model: ArteryModel, grid: Grid, inlet=None,
@@ -348,6 +380,11 @@ def _flow(model, grid, initial_radii, inlet):
     velocity, pressure) of its interior, after that step's checks, for
     each of the nt time indices. A yielded array is valid until the next
     step.
+
+    The momentum and continuity steps and every view, scratch array,
+    constant and ufunc a step uses are bound once per run, so each step
+    only calls ufuncs on fixed arrays and allocates none. Every operation
+    still rounds in the order its stencil is written.
     """
     if not np.all(initial_radii > 0):
         raise DomainError("radii must be positive")
@@ -370,42 +407,58 @@ def _flow(model, grid, initial_radii, inlet):
     collapse_step = collapsed[0] if collapsed.size else grid.nt
     inlet_area = roots * roots
     inlet_pressure = model.p_ext + waveform
-    work = _scratch(fields.shape[1:])
 
-    for j in range(grid.nt):
+    work = _scratch(fields.shape[1:])
+    momentum = _momentum_step(velocity, pressure, grid, model, work)
+    continuity = _continuity_step(area, velocity, grid, work)
+    # every view, scratch array, constant and ufunc a step uses
+    interior, lo, hi = fields[:2, 1:-1], np.empty(2), np.empty(2)
+    outlet, before_outlet = fields[:2, -2], fields[:2, -3]
+    ghost_l, edge_l, ghost_r, edge_r = (fields[:, i] for i in (0, 1, -1, -2))
+    u_ghost_l, u_edge_l, u_ghost_r, u_edge_r = (
+        ghost_l[1], edge_l[1], ghost_r[1], edge_r[1])
+    d_in, p_in, p_out, p_before_out = d[0], p[0], p[-1], p[-2]
+    beta, p_ext, inf = np.array(model.beta), np.array(model.p_ext), np.inf
+    sqrt, subtract, multiply, add, copyto = (np.sqrt, np.subtract,
+                                             np.multiply, np.add, np.copyto)
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce
+    last = grid.nt - 1
+
+    for j, (inlet_d, inlet_p) in enumerate(zip(inlet_area, inlet_pressure)):
         if j == collapse_step:
             raise SimulationError(
                 f"inlet pressure collapses the lumen at step {j}",
                 step_index=j)
-        d[0] = inlet_area[j]
-        fields[:2, -2] = fields[:2, -3]  # zero-gradient outlet area, velocity
+        copyto(d_in, inlet_d)
+        copyto(outlet, before_outlet)  # zero-gradient outlet area, velocity
         # the step's one area check, which the tube law and the radii rely
         # on; written so that NaN fails it
-        u_lo, u_hi = u.min(), u.max()
-        if not (0 < d.min() and d.max() < np.inf
-                and -np.inf < u_lo and u_hi < np.inf):
+        minimum(interior, (1, 2), None, lo)
+        maximum(interior, (1, 2), None, hi)
+        (d_lo, u_lo), (d_hi, u_hi) = lo.tolist(), hi.tolist()
+        if not (0 < d_lo and d_hi < inf and -inf < u_lo and u_hi < inf):
             raise SimulationError(f"solver diverged at step {j}", step_index=j)
         # the linear-elastic tube law p = p_ext + beta*(sqrt(D) - sqrt(D_rest))
-        np.sqrt(d, out=p)
-        p -= sqrt_d_rest
-        p *= model.beta
-        p += model.p_ext
-        p[0] = inlet_pressure[j]
-        p[-1] = p[-2]
+        sqrt(d, p)
+        subtract(p, sqrt_d_rest, p)
+        multiply(p, beta, p)
+        add(p, p_ext, p)
+        copyto(p_in, inlet_p)
+        copyto(p_out, p_before_out)
         yield d, u, p
-        if j == grid.nt - 1:
+        if j == last:
             break
         # fixed ends: every ghost copies its edge cell
-        fields[:, 0] = fields[:, 1]
-        fields[:, -1] = fields[:, -2]
+        copyto(ghost_l, edge_l)
+        copyto(ghost_r, edge_r)
         try:
             if j == 0:  # the diffusion number depends on the grid alone
                 _check_diffusion(grid, model)
-            _momentum(velocity, pressure, max(u_hi, -u_lo), grid, model,
-                      work)
+            momentum(max(u_hi, -u_lo))
             # the new velocity's ghosts, for the continuity fluxes
-            velocity[0], velocity[-1] = velocity[1], velocity[-2]
-            _continuity(area, velocity, _abs_max(u), grid, work)
+            copyto(u_ghost_l, u_edge_l)
+            copyto(u_ghost_r, u_edge_r)
+            continuity()
         except StabilityError as exc:
             raise SimulationError(f"solver unstable at step {j}: {exc}",
                                   step_index=j) from exc

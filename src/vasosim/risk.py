@@ -11,15 +11,12 @@ reference, and a remote client speaking the JSON wire protocol
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import math
 import netrc
 import os
-import ssl
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -227,6 +224,11 @@ class LlmProvider:
 
     def __init__(self, endpoint, timeout=5.0, template_version="v1",
                  step_seconds=3600.0, max_retries=2, backoff=0.1):
+        # the HTTP stack loads here, not with the module, so that runs
+        # with the logistic provider do not pay its import time
+        import ssl
+        import urllib.request
+
         self.endpoint = endpoint
         self.timeout = timeout
         self.template_version = template_version
@@ -264,6 +266,8 @@ class LlmProvider:
             self._context = ssl.create_default_context()
 
     def __call__(self, report: BiophysicsReport, step: int):
+        import http.client
+
         body = {
             "template_version": self.template_version,
             "horizon_step": int(step),
@@ -323,6 +327,8 @@ class LlmProvider:
             return self._send(data)
 
     def _open(self):
+        import http.client
+
         if self._context is None:
             return http.client.HTTPConnection(self._address,
                                               timeout=self.timeout)

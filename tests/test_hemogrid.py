@@ -388,6 +388,44 @@ class TestPinnedKernel:
             hg.final_radii(model, g, stack, inlet=inlet)
         assert err.value.step_index == step
 
+    # SHA-256 of the advanced field after one single-column step on a
+    # nonuniform 24-cell column whose velocity has both signs, so that
+    # both upwind branches run; recorded with numpy 2.4 on x86-64
+    STEP_SHA256 = {
+        ("momentum", "fixed", True): "fdae3528b81d158f0d0d5ce78535e58e"
+                                     "6410747fa2b7425d7193c5e3bbe33bac",
+        ("momentum", "fixed", False): "93cb66cc0605df184611e2904a8f62d5"
+                                      "6f1e4cf584032495e3f74d70b985953c",
+        ("momentum", "periodic", True): "026264921571dd9c17896c0602959034"
+                                        "8a8768bf03a953a2ffea4baee6ee38d4",
+        ("momentum", "periodic", False): "f3b5516c4dbcec4e402834cd4969ac3d"
+                                         "14f8758e82f8f43b0ea3dba54835950f",
+        ("continuity", "fixed", None): "5e453824c6255cd57f16f2602284b5a5"
+                                       "37fd83af13cda0596dd4bb368bebaed4",
+        ("continuity", "periodic", None): "3308cdec49fb3b12169e872effde1013"
+                                          "afb662ba25b5ed87e46d3c0faac532c1",
+    }
+
+    @pytest.mark.parametrize("kernel, bc, nonlinear", STEP_SHA256,
+                             ids=lambda v: str(v).lower())
+    def test_single_step_bytes_pinned(self, model, kernel, bc, nonlinear):
+        nx = 24
+        i = np.arange(nx)
+        state = hg.FlowState(
+            area=1 + 0.3 * np.sin(2 * np.pi * i / nx) ** 2 + 0.05 * np.cos(i),
+            velocity=(0.4 * np.sin(2 * np.pi * (i + 0.5) / nx)
+                      + 0.03 * np.cos(3 * i)),
+            pressure=2.0 * np.cos(2 * np.pi * i / nx) + 0.1 * i)
+        assert (state.velocity > 0).any() and (state.velocity < 0).any()
+        g = make_grid(nx, dx=1.0 / nx, dt=1e-3, s_max=1.0)
+        if kernel == "momentum":
+            out = hg.step_momentum(state, g, model, bc=bc,
+                                   nonlinear=nonlinear).velocity
+        else:
+            out = hg.step_continuity(state, g, bc=bc).area
+        digest = hashlib.sha256(out.tobytes()).hexdigest()
+        assert digest == self.STEP_SHA256[kernel, bc, nonlinear]
+
 
 class TestRadiiCsv:
     def test_round_trip(self, model, tmp_path):
