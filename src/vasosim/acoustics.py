@@ -314,7 +314,9 @@ def synthesize_echo(radii_column, pulse: PulseSpec, grid: Grid,
 def estimate_tof(incident: EchoTrace, echo: EchoTrace,
                  correlation_floor=0.2):
     """Time of flight by normalized cross-correlation over nonnegative lags,
-    refined with three-point parabolic interpolation around the peak."""
+    refined with three-point parabolic interpolation around the peak. The
+    refinement moves the peak by at most one sample, and only at lags >= 1,
+    so the time of flight is never negative."""
     if incident.fs != echo.fs:
         raise EstimationError("sample rates differ")
     a = incident.samples
@@ -323,12 +325,8 @@ def estimate_tof(incident: EchoTrace, echo: EchoTrace,
     nb = float(np.linalg.norm(b))
     if na == 0 or nb == 0:
         raise EstimationError("all-zero trace")
-    # full cross-correlation c[k] = sum_n a[n] b[n + k], k = lag of echo
-    corr = np.correlate(b, a, mode="full") / (na * nb)
-    lags = np.arange(-(a.size - 1), b.size)
-    valid = lags >= 0
-    corr = corr[valid]
-    lags = lags[valid]
+    # c[k] = sum_n a[n] b[n + k] for echo lags k >= 0, the only ones kept
+    corr = np.correlate(b, a, mode="full")[a.size - 1:] / (na * nb)
     k = int(np.argmax(corr))
     peak = float(corr[k])
     if peak < correlation_floor:
@@ -342,7 +340,7 @@ def estimate_tof(incident: EchoTrace, echo: EchoTrace,
             # suppress rounding-level offsets so integer shifts stay exact
             if abs(delta) < 1e-9 or abs(delta) > 1:
                 delta = 0.0
-    tof = max((lags[k] + delta), 0.0) / incident.fs
+    tof = (k + delta) / incident.fs
     return ToFMeasurement(tof=tof, peak_correlation=min(peak, 1.0))
 
 

@@ -12,6 +12,7 @@ import argparse
 import configparser
 import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -56,9 +57,9 @@ class Key(NamedTuple):
 # the remote provider's own defaults, which [risk] timeout and step_seconds take
 _LLM = inspect.signature(risk.LlmProvider).parameters
 
-# Every configuration key, declared once: KEYS[section][key]. A key that
-# fills a dataclass field or a parameter takes that field's or parameter's
-# default; load_config rejects any section or key not declared here.
+# Every configuration key, declared once with its default: KEYS[section][key].
+# A default that is a dataclass field's or a parameter's is read from there;
+# load_config rejects any section or key not declared here.
 KEYS = {
     "model": {name: Key(float, getattr(ArteryModel, name))
               for name in ("r0", "beta", "p_ext", "alpha", "re")},
@@ -158,10 +159,13 @@ def load_config(path=None, overrides=None):
         if key not in v.get(section, ()):
             raise ConfigurationError(f"unknown config key [{section}] {key}")
         try:
-            v[section][key] = KEYS[section][key].cast(text)
+            value = KEYS[section][key].cast(text)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{text!r} is not finite")
         except (ValueError, TypeError) as exc:
             raise ConfigurationError(
                 f"bad value for [{section}] {key}: {exc}") from exc
+        v[section][key] = value
     pulse, rsk, scenario = v["pulse"], v["risk"], v["scenario"]
     try:
         grid = Grid(**v["grid"])
@@ -193,8 +197,7 @@ def load_config(path=None, overrides=None):
             **rsk, **scenario, **v["simulate"])
         if cfg.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
-        if cfg.provider_name == "llm":
-            _make_provider(cfg)  # rejects an endpoint that is not http(s)
+        _make_provider(cfg)  # the provider's own checks, e.g. an http(s) URL
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc
     return cfg
@@ -219,12 +222,9 @@ def _write_json(path, obj):
 def cmd_simulate(cfg: RunConfig, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     g = cfg.grid
-    if cfg.inlet_amplitude != 0.0:
-        freq = cfg.inlet_frequency or 1.0 / (g.nt * g.dt)
-        inlet = cfg.inlet_amplitude * np.sin(
-            2 * np.pi * freq * np.arange(g.nt) * g.dt)
-    else:
-        inlet = None
+    freq = cfg.inlet_frequency or 1.0 / (g.nt * g.dt)
+    inlet = cfg.inlet_amplitude * np.sin(
+        2 * np.pi * freq * np.arange(g.nt) * g.dt)
     radii_field, states = hemogrid.solve_flow(cfg.model, g, inlet=inlet)
     radii_path = os.path.join(out_dir, "radii.csv")
     hemogrid.write_radii_csv(radii_path, radii_field)
@@ -277,7 +277,10 @@ def cmd_invert(cfg: RunConfig, echo_path, out_dir):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A number a float holds finitely: json.load also reads NaN, Infinity
+    and ints beyond the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _report(cfg: RunConfig, record):

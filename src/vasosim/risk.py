@@ -163,9 +163,7 @@ def likelihood_curve(report: BiophysicsReport, provider, horizon):
 
 def compute_tte(likelihood: EpisodeLikelihood, step_seconds):
     """Smallest future step maximizing episode probability."""
-    probs = likelihood.probs
-    if probs.size == 0:
-        raise DomainError("empty probability vector")
+    probs = likelihood.probs  # EpisodeLikelihood makes it nonempty
     k = int(np.argmax(probs))  # np.argmax already returns the first maximum
     return TTEResult(tte_step=k + 1, max_prob=float(probs[k]),
                      step_seconds=float(step_seconds))

@@ -126,12 +126,10 @@ def _dip_depth(spec: ScenarioSpec, session_index):
 
 
 def _truth_column(spec: ScenarioSpec, depth):
-    r = np.full(spec.grid.nx, spec.model.r0)
-    if depth > 0:
-        i = np.arange(spec.grid.nx)
-        dip = np.exp(-0.5 * ((i - spec.stenosis_center) / spec.stenosis_width) ** 2)
-        r = r * (1 - depth * dip)
-    return r
+    # at depth 0 the factor is exactly 1.0, so the column is r0 bit for bit
+    i = np.arange(spec.grid.nx)
+    dip = np.exp(-0.5 * ((i - spec.stenosis_center) / spec.stenosis_width) ** 2)
+    return np.full(spec.grid.nx, spec.model.r0) * (1 - depth * dip)
 
 
 def _label_from_radii(radii, spec: ScenarioSpec):
@@ -151,6 +149,12 @@ def generate_scenario(spec: ScenarioSpec):
         inlet=inlet)
     # every session's radii_truth is a row of this one read-only block
     truths.setflags(write=False)
+    # future labels follow the depth trend, capped below full occlusion
+    if spec.kind == "progressive-occlusion" and spec.sessions > 1:
+        increment = spec.severity / (spec.sessions - 1)
+    else:
+        increment = 0.0
+    steps = np.arange(1, spec.horizon + 1)
     sessions = []
     for s, (depth, truth) in enumerate(zip(depths, truths)):
         clean = acoustics.synthesize_echo(truth, spec.pulse, spec.grid,
@@ -159,25 +163,16 @@ def generate_scenario(spec: ScenarioSpec):
         rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, s])
         clean_rms = float(np.sqrt(np.mean(clean.samples**2)))
         scale = clean_rms if clean_rms > 0 else 0.01 * spec.pulse.amp_forward
-        noise = rng.normal(0.0, spec.noise_rms * scale, clean.samples.size) \
-            if spec.noise_rms > 0 else np.zeros(clean.samples.size)
+        # at noise_rms 0 every draw is +0.0; the RNG serves this session only
+        noise = rng.normal(0.0, spec.noise_rms * scale, clean.samples.size)
         echo = EchoTrace(samples=clean.samples + noise, fs=spec.fs,
                          session_id=f"s{s:04d}")
-
         label = _label_from_radii(truth, spec)
-        # future labels from the per-session depth trend, capped below full
-        # occlusion; baseline and static scenarios keep their current depth
-        if spec.kind == "progressive-occlusion" and spec.sessions > 1:
-            increment = spec.severity / (spec.sessions - 1)
-        else:
-            increment = 0.0
-        future = []
-        for h in range(1, spec.horizon + 1):
-            d_future = min(depth + increment * h, 0.95)
-            future.append(int(1 - d_future < spec.occlusion_threshold))
+        remaining = 1 - np.minimum(depth + increment * steps, 0.95)
         sessions.append(LabeledSession(
             radii_truth=truth, echo=echo, label_v=label,
-            future_labels=np.array(future), session_index=s))
+            future_labels=remaining < spec.occlusion_threshold,
+            session_index=s))
     return sessions
 
 

@@ -96,6 +96,17 @@ BAD_SCENARIO = {
 }
 
 
+# float keys set to a value that is not finite, each set on SMALL
+NON_FINITE = {
+    "step_seconds": ("risk", "step_seconds", "nan"),
+    "omega": ("pulse", "omega", "nan"),
+    "c": ("pulse", "c", "nan"),
+    "s_max": ("grid", "s_max", "nan"),
+    "bias": ("risk", "bias", "nan"),
+    "w_density": ("risk", "w_density", "inf"),
+}
+
+
 @pytest.fixture
 def small_config(tmp_path):
     return write_config(tmp_path / "cfg.ini", SMALL)
@@ -237,6 +248,18 @@ class TestExitCodes:
         out = tmp_path / "out"
         code = cli.main(["--config", path, "--out", str(out), command])
         assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, text", NON_FINITE.values(),
+                             ids=NON_FINITE)
+    def test_non_finite_exits_before_output(self, tmp_path, capsys, section,
+                                            key, text):
+        path = write_config(tmp_path / "cfg.ini", {
+            **SMALL, section: {**SMALL.get(section, {}), key: text}})
+        out = tmp_path / "out"
+        code = cli.main(["--config", path, "--out", str(out), "pipeline"])
+        assert code == cli.EXIT_CONFIG
+        assert f"[{section}] {key}" in capsys.readouterr().err
         assert not out.exists()
 
     # every command but gen-data and pipeline, with its positional input;
@@ -522,9 +545,12 @@ class TestInvert:
 
 
 class TestAssess:
-    @pytest.mark.parametrize("text", ['[1, 2]', '{"stenosis_index": "0.3"}',
-                                      '{"radii_m": []}'],
-                             ids=["list", "string-index", "empty-radii"])
+    @pytest.mark.parametrize("text", [
+        '[1, 2]', '{"stenosis_index": "0.3"}', '{"radii_m": []}',
+        '{"stenosis_index": 0.3, "timestamp": NaN}',
+        '{"radii_m": [0.001, 1%s]}' % ("0" * 400)],
+        ids=["list", "string-index", "empty-radii", "nan-timestamp",
+             "int-beyond-float"])
     def test_not_a_report(self, small_config, tmp_path, capsys, text):
         report = tmp_path / "report.json"
         report.write_text(text)

@@ -214,7 +214,8 @@ def stub_server():
     handler = type("Handler", (_StubHandler,),
                    {"requests_seen": [], "headers_seen": []})
     server = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
     thread.start()
     try:
         yield handler, f"http://127.0.0.1:{server.server_address[1]}/"
@@ -258,7 +259,8 @@ def keepalive_server():
 
     handler.handle_one_request = handle_one_request
     server = _CountingServer(handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
     thread.start()
     try:
         yield handler, server, f"http://127.0.0.1:{server.server_address[1]}/"
