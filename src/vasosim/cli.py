@@ -4,7 +4,8 @@ Exit codes are stable: 0 success, 2 input/config error, 3 simulation
 failure, 4 inversion did not converge or hit a non-finite value, 5
 provider failure. Config files are INI-style key/value sections, each
 section and key declared in :data:`KEYS`; all are validated before any
-output file is written.
+output file is written. simulate, echo, invert and assess make their
+output directory only once they have results to write.
 """
 from __future__ import annotations
 
@@ -197,6 +198,10 @@ def load_config(path=None, overrides=None):
             **rsk, **scenario, **v["simulate"])
         if cfg.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        if abs(cfg.inlet_frequency) > 1 / (2 * grid.dt):
+            raise ConfigurationError(
+                "[simulate] inlet_frequency must not exceed the grid's "
+                f"Nyquist rate 1/(2 dt) = {1 / (2 * grid.dt):g} Hz")
         _make_provider(cfg)  # the provider's own checks, e.g. an http(s) URL
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc
@@ -220,12 +225,12 @@ def _write_json(path, obj):
 # commands
 
 def cmd_simulate(cfg: RunConfig, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     g = cfg.grid
     freq = cfg.inlet_frequency or 1.0 / (g.nt * g.dt)
     inlet = cfg.inlet_amplitude * np.sin(
         2 * np.pi * freq * np.arange(g.nt) * g.dt)
     radii_field, states = hemogrid.solve_flow(cfg.model, g, inlet=inlet)
+    os.makedirs(out_dir, exist_ok=True)
     radii_path = os.path.join(out_dir, "radii.csv")
     hemogrid.write_radii_csv(radii_path, radii_field)
     volumes = np.array([float(np.sum(s.area)) * g.dx for s in states])
@@ -241,7 +246,6 @@ def cmd_simulate(cfg: RunConfig, out_dir):
 
 
 def cmd_echo(cfg: RunConfig, radii_path, out_dir, column=-1):
-    os.makedirs(out_dir, exist_ok=True)
     radii_field = hemogrid.read_radii_csv(radii_path, s_max=cfg.grid.s_max,
                                           cfl=1.0)
     nt = radii_field.grid.nt
@@ -253,27 +257,27 @@ def cmd_echo(cfg: RunConfig, radii_path, out_dir, column=-1):
                                       cfg.model, fs=cfg.fs,
                                       duration=max(cfg.duration,
                                                    2 * grid.nx * grid.dx / cfg.pulse.c))
+    os.makedirs(out_dir, exist_ok=True)
     echo_path = os.path.join(out_dir, "echo.csv")
     acoustics.write_echo_csv(echo_path, trace)
     return echo_path
 
 
-def _invert(cfg: RunConfig, observed, path):
-    """Recover the radii behind ``observed``, write the solution record to
-    ``path`` and return it."""
+def _invert(cfg: RunConfig, observed):
+    """The solution record of the radii behind ``observed``."""
     problem = InverseProblem(
         observed=observed, pulse=cfg.pulse, grid=cfg.grid, model=cfg.model,
         lam=cfg.lam)
     solver = inversion.get_solver(inversion.SOLVER_NAME)
-    record = solver(problem, cfg.solver_options).to_dict()
-    _write_json(path, record)
-    return record
+    return solver(problem, cfg.solver_options).to_dict()
 
 
 def cmd_invert(cfg: RunConfig, echo_path, out_dir):
+    record = _invert(cfg, acoustics.read_echo_csv(echo_path))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "solution.json")
-    return path, _invert(cfg, acoustics.read_echo_csv(echo_path), path)
+    _write_json(path, record)
+    return path, record
 
 
 def _is_number(value):
@@ -332,12 +336,12 @@ def _assess(cfg: RunConfig, report, provider, sink):
 
 
 def cmd_assess(cfg: RunConfig, input_path, out_dir, provider=None):
-    os.makedirs(out_dir, exist_ok=True)
     with open(input_path) as fh:
         report = _report(cfg, json.load(fh))
     if provider is None:
         provider = _make_provider(cfg)
     tte, curve, payload = _assess(cfg, report, provider, None)
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "probs.csv"), "w") as fh:
         fh.write("step,prob\n")
         fh.write(f"0,{curve.prob_now!r}\n")
@@ -377,7 +381,8 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None):
     results = []
     for sess in sessions:
         sol_path = os.path.join(out_dir, f"solution_{sess.session_index:04d}.json")
-        solution = _invert(cfg, sess.echo, sol_path)
+        solution = _invert(cfg, sess.echo)
+        _write_json(sol_path, solution)
         try:
             tof = acoustics.estimate_tof(incident, sess.echo)
         except EstimationError:

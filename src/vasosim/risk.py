@@ -4,7 +4,7 @@ A likelihood provider answers Pr(V = 1 | t = i, biophysics data) for
 horizon step i >= 0. Two providers ship here: a deterministic logistic
 reference, and a remote client speaking the JSON wire protocol
 
-    request:  {"template_version": str, "horizon_step": int,
+    request:  {"template_version": "v1", "horizon_step": int,
                "step_seconds": float, "features": {...}}
     response: {"probability": number, "recommendation": str (optional)}
 """
@@ -45,6 +45,8 @@ __all__ = [
     "dispatch_alert",
     "FileSink",
 ]
+
+TEMPLATE_VERSION = "v1"  # the wire request's "template_version"
 
 
 @dataclass(frozen=True)
@@ -208,28 +210,24 @@ class LlmProvider:
     optional ``recommendation`` from the last successful response is kept
     on ``last_recommendation``.
 
-    Each provider keeps one HTTP/1.1 keep-alive connection, opened on first
-    use and opened again after the server closes it or a request fails; a
-    kept connection the server dropped while idle is reopened at once,
-    without counting as a retry. The environment's ``http_proxy``,
-    ``https_proxy`` and ``no_proxy``, ``~/.netrc`` credentials for the
-    endpoint's host, and for HTTPS the system CA store (or
-    ``SSL_CERT_FILE``) are resolved once, here. :meth:`close`, or dropping
-    the provider, closes the connection.
+    Its one ``http.client`` connection is built here, with the
+    environment's ``http_proxy``, ``https_proxy`` (through a CONNECT
+    tunnel) and ``no_proxy``, ``~/.netrc`` credentials for the endpoint's
+    host and, for HTTPS, the system CA store (or ``SSL_CERT_FILE``) bound
+    in. ``http.client`` opens it on first use and after any close; a kept
+    connection the server dropped while idle is reopened at once, not as a
+    retry. :meth:`close`, or dropping the provider, closes it.
     """
 
-    _conn = None  # the kept http.client connection, None until first use
-
-    def __init__(self, endpoint, timeout=5.0, template_version="v1",
-                 step_seconds=3600.0, max_retries=2, backoff=0.1):
+    def __init__(self, endpoint, timeout=5.0, step_seconds=3600.0,
+                 max_retries=2, backoff=0.1):
         # the HTTP stack loads here, not with the module, so that runs
         # with the logistic provider do not pay its import time
-        import ssl
         import urllib.request
+        from http.client import HTTPConnection, HTTPSConnection, InvalidURL
 
         self.endpoint = endpoint
         self.timeout = timeout
-        self.template_version = template_version
         self.step_seconds = step_seconds
         self.max_retries = max_retries
         self.backoff = backoff
@@ -245,29 +243,36 @@ class LlmProvider:
         self._headers = {"Content-Type": "application/json",
                          **_auth_header("Authorization", credentials)}
 
-        self._address, self._tunnel, self._context = netloc, None, None
+        address, tunnel = netloc, None
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(netloc):
             proxy = urllib.parse.urlsplit(
                 proxy if "://" in proxy else "http://" + proxy)
-            self._address = proxy.netloc.rpartition("@")[2]
+            address = proxy.netloc.rpartition("@")[2]
             proxy_headers = _auth_header("Proxy-Authorization",
                                          _credentials(proxy))
             if url.scheme == "https":
-                self._tunnel = (netloc, proxy_headers)
+                tunnel = proxy_headers
             else:
                 # a plain HTTP proxy is sent the absolute URL
                 self._path = urllib.parse.urlunsplit(url._replace(
                     netloc=netloc, path=url.path or "/", fragment=""))
                 self._headers.update(proxy_headers)
-        if url.scheme == "https":
-            self._context = ssl.create_default_context()
+        # an HTTPS connection verifies against ssl's default context
+        connection = {"http": HTTPConnection,
+                      "https": HTTPSConnection}[url.scheme]
+        try:  # http.client parses the port, raising InvalidURL on a bad one
+            self._conn = connection(address, timeout=timeout)
+            if tunnel is not None:
+                self._conn.set_tunnel(netloc, headers=tunnel)
+        except InvalidURL as exc:
+            raise DomainError(f"{exc} in {address!r}") from exc
 
     def __call__(self, report: BiophysicsReport, step: int):
         import http.client
 
         body = {
-            "template_version": self.template_version,
+            "template_version": TEMPLATE_VERSION,
             "horizon_step": int(step),
             "step_seconds": self.step_seconds,
             "features": report.features(),
@@ -292,8 +297,6 @@ class LlmProvider:
                 last_exc = TransportError(f"transport failure: {exc}")
                 last_exc.__cause__ = exc
             else:
-                if resp.will_close:
-                    self.close()
                 status = resp.status
                 if 200 <= status < 300:
                     return self._parse(answer)
@@ -307,12 +310,9 @@ class LlmProvider:
         raise last_exc
 
     def _send(self, data):
-        """POST ``data`` on the kept connection and return the response
-        with its status and headers read. A kept connection that the server
-        closed before answering is replaced once, at once."""
-        reused = self._conn is not None
-        if not reused:
-            self._conn = self._open()
+        """POST ``data``, returning the response with its headers read; a
+        kept connection the server closed unanswered is reopened at once."""
+        reused = self._conn.sock is not None
         try:
             self._conn.request("POST", self._path, body=data,
                                headers=self._headers)
@@ -324,25 +324,13 @@ class LlmProvider:
             self.close()
             return self._send(data)
 
-    def _open(self):
-        import http.client
-
-        if self._context is None:
-            return http.client.HTTPConnection(self._address,
-                                              timeout=self.timeout)
-        conn = http.client.HTTPSConnection(self._address, timeout=self.timeout,
-                                           context=self._context)
-        if self._tunnel:
-            conn.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
-        return conn
-
     def close(self):
-        """Close the kept connection; the next call opens a new one."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        """Close the connection; the next call opens it again."""
+        self._conn.close()
 
-    __del__ = close
+    def __del__(self):
+        if hasattr(self, "_conn"):  # __init__ can raise before building it
+            self.close()
 
     def _retry_after(self, resp, default):
         """A numeric Retry-After header in seconds, capped at the timeout;

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_grid, stenotic_column
-from vasosim import acoustics, cli, hemogrid, risk, synthdata
+from vasosim import acoustics, cli, hemogrid, inversion, risk, synthdata
 from vasosim.errors import ConfigurationError, EstimationError
 from vasosim.hemogrid import RadiiField
 
@@ -107,6 +108,22 @@ NON_FINITE = {
 }
 
 
+# inputs each command rejects with exit 2: a file name and its text
+REJECTED_INPUT = {
+    "echo-no-header": ("echo", "radii.csv", "1,2\n3,4\n"),
+    "invert-no-header": ("invert", "echo.csv", "1,2\n3,4\n"),
+    # a well-formed echo too short for the grid's round trip
+    "invert-short-echo": ("invert", "echo.csv",
+                          "# fs=800000.0 session=x\nt_s,p_pa\n"
+                          "0.0,0.0\n1.25e-06,0.0\n"),
+    "assess-nan-timestamp": ("assess", "report.json",
+                             '{"stenosis_index": 0.3, "timestamp": NaN}'),
+}
+
+# the default grid's Nyquist rate, 1 / (2 dt)
+NYQUIST_HZ = 1 / (2 * 2e-6)
+
+
 @pytest.fixture
 def small_config(tmp_path):
     return write_config(tmp_path / "cfg.ini", SMALL)
@@ -162,6 +179,11 @@ class TestLoadConfig:
                             {"grid": {"dt": 1.0}})
         with pytest.raises(ConfigurationError):
             cli.load_config(path)
+
+    def test_inlet_frequency_up_to_nyquist(self, tmp_path):
+        path = write_config(tmp_path / "cfg.ini", {
+            "simulate": {"inlet_frequency": -NYQUIST_HZ}})
+        assert cli.load_config(path).inlet_frequency == -NYQUIST_HZ
 
     def test_overrides_win(self, small_config):
         cfg = cli.load_config(small_config,
@@ -280,6 +302,44 @@ class TestExitCodes:
         code = cli.main(["--config", path, "--out", str(out), *command])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name, text", REJECTED_INPUT.values(),
+                             ids=REJECTED_INPUT)
+    def test_rejected_input_writes_nothing(self, small_config, tmp_path,
+                                           capsys, command, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main(["--config", small_config, "--out", str(out),
+                         command, str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "frequency", ["1e308", repr(math.nextafter(NYQUIST_HZ, math.inf))],
+        ids=["1e308", "above-nyquist"])
+    def test_inlet_frequency_above_nyquist(self, tmp_path, capsys,
+                                           frequency):
+        path = write_config(tmp_path / "cfg.ini", {"simulate": {
+            "inlet_amplitude": 1.0, "inlet_frequency": frequency}})
+        out = tmp_path / "out"
+        code = cli.main(["--config", path, "--out", str(out), "simulate"])
+        assert code == cli.EXIT_CONFIG
+        assert "[simulate] inlet_frequency" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulation_failure(self, tmp_path, capsys):
+        # at the default grid, this inlet pressure empties the first cells
+        path = write_config(tmp_path / "cfg.ini",
+                            {"simulate": {"inlet_amplitude": -1e6}})
+        out = tmp_path / "out"
+        code = cli.main(["--config", path, "--out", str(out), "simulate"])
+        assert code == cli.EXIT_SIMULATION
+        assert capsys.readouterr().err.splitlines() == [
+            "simulation failed at step 2: inlet pressure collapses the "
+            "lumen at step 2"]
         assert not out.exists()
 
     def test_provider_down(self, small_config, tmp_path):
@@ -542,6 +602,21 @@ class TestInvert:
                   "invert", str(echo_path)])
         sol = json.loads((out / "solution.json").read_text())
         assert np.allclose(sol["radii_m"], cfg.model.r0, rtol=1e-3)
+
+    def test_lambda_search_out_of_solves(self, tmp_path, monkeypatch):
+        # one solve at lambda = 1 misses the discrepancy target for this
+        # echo, so the search stops unconverged
+        monkeypatch.delenv(cli.DEFAULT_CONFIG_ENV, raising=False)
+        monkeypatch.setattr(inversion, "MAX_LAMBDA_SOLVES", 1)
+        data = tmp_path / "data"
+        assert cli.main(["--out", str(data), "gen-data"]) == 0
+        out = tmp_path / "out"
+        code = cli.main(["--out", str(out), "invert",
+                         str(data / "session_0002_echo.csv")])
+        assert code == cli.EXIT_NOT_CONVERGED
+        sol = json.loads((out / "solution.json").read_text())
+        assert not sol["converged"]
+        assert sol["lambda"] == 1.0
 
 
 class TestAssess:
