@@ -177,7 +177,7 @@ def load_config(path=None, overrides=None):
         duration = default_duration if duration is None else duration
         lam = v["solver"].pop("lambda")
         if lam is not None and not lam >= 0:
-            raise ConfigurationError("lambda must be nonnegative")
+            raise ConfigurationError("[solver] lambda must be nonnegative")
         provider_name = rsk.pop("provider")
         if provider_name not in ("logistic", "llm"):
             raise ConfigurationError(f"unknown provider {provider_name!r}")
@@ -197,7 +197,10 @@ def load_config(path=None, overrides=None):
             fs=fs, duration=duration, scenario_kind=scenario.pop("kind"),
             **rsk, **scenario, **v["simulate"])
         if cfg.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
+            raise ConfigurationError("[risk] horizon must be >= 1")
+        for key in ("timeout", "step_seconds"):
+            if not getattr(cfg, key) > 0:
+                raise ConfigurationError(f"[risk] {key} must be positive")
         if abs(cfg.inlet_frequency) > 1 / (2 * grid.dt):
             raise ConfigurationError(
                 "[simulate] inlet_frequency must not exceed the grid's "
@@ -323,13 +326,12 @@ def _report(cfg: RunConfig, record):
     )
 
 
-def _assess(cfg: RunConfig, report, provider, sink):
-    """Likelihood curve, time to episode and alert for one report; the
-    alert goes to ``sink`` unless its severity is "info"."""
+def _assess(cfg: RunConfig, report, provider):
+    """Likelihood curve, time to episode and alert for one report."""
     curve = risk.likelihood_curve(report, provider, cfg.horizon)
     tte = risk.compute_tte(curve, cfg.step_seconds)
     payload = risk.dispatch_alert(
-        tte, curve.prob_now, cfg.policy, sink,
+        tte, curve.prob_now, cfg.policy,
         session_id=report.session_id, timestamp=report.timestamp,
         recommendation=getattr(provider, "last_recommendation", None))
     return tte, curve, payload
@@ -340,7 +342,7 @@ def cmd_assess(cfg: RunConfig, input_path, out_dir, provider=None):
         report = _report(cfg, json.load(fh))
     if provider is None:
         provider = _make_provider(cfg)
-    tte, curve, payload = _assess(cfg, report, provider, None)
+    tte, curve, payload = _assess(cfg, report, provider)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "probs.csv"), "w") as fh:
         fh.write("step,prob\n")
@@ -367,22 +369,25 @@ def cmd_gen_data(cfg: RunConfig, out_dir, seed=None):
 
 
 def cmd_pipeline(cfg: RunConfig, out_dir, seed=None):
-    """generate -> invert each generated echo -> assess, one manifest."""
+    """generate -> invert each generated echo -> assess, one manifest.
+
+    alerts.jsonl holds each alert that is not "info"; the manifest lists
+    the files this run wrote, not what an earlier run left in ``out_dir``.
+    """
     # no makedirs of out_dir first: cmd_gen_data checks [scenario] before it
     # writes anything, and making the dataset directory makes out_dir too
-    data_dir = os.path.join(out_dir, "dataset")
-    spec, sessions, _ = cmd_gen_data(cfg, data_dir, seed=seed)
+    spec, sessions, data_manifest = cmd_gen_data(
+        cfg, os.path.join(out_dir, "dataset"), seed=seed)
     provider = _make_provider(cfg)
-    sink = risk.FileSink(os.path.join(out_dir, "alerts.jsonl"))
     incident = acoustics.incident_pulse(spec.pulse, spec.fs, spec.duration)
 
     # the first session whose ToF is found is the density reference
     tof_ref = None
-    results = []
+    results, alerts = [], []
     for sess in sessions:
-        sol_path = os.path.join(out_dir, f"solution_{sess.session_index:04d}.json")
+        sol_name = f"solution_{sess.session_index:04d}.json"
         solution = _invert(cfg, sess.echo)
-        _write_json(sol_path, solution)
+        _write_json(os.path.join(out_dir, sol_name), solution)
         try:
             tof = acoustics.estimate_tof(incident, sess.echo)
         except EstimationError:
@@ -397,7 +402,10 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None):
             "tof_s": 0.0 if tof is None else tof.tof,
             "timestamp": sess.session_index * cfg.step_seconds,
             "session_id": sess.echo.session_id})
-        tte, curve, payload = _assess(cfg, report, provider, sink)
+        tte, curve, payload = _assess(cfg, report, provider)
+        alert_written = payload.severity != "info"
+        if alert_written:
+            alerts.append(json.dumps(payload.to_dict(), sort_keys=True) + "\n")
         results.append({
             "session": sess.session_index,
             "label_v": sess.label_v,
@@ -407,19 +415,19 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None):
             "prob_now": curve.prob_now,
             "tte": tte.to_dict(),
             "severity": payload.severity,
-            "alert_written": payload.severity != "info",
-            "solution_file": os.path.basename(sol_path),
+            "alert_written": alert_written,
+            "solution_file": sol_name,
         })
     _write_json(os.path.join(out_dir, "results.json"), results)
+    with open(os.path.join(out_dir, "alerts.jsonl"), "w") as fh:
+        fh.writelines(alerts)
 
-    checksums = {}
-    for root, _, files in os.walk(out_dir):
-        for name in sorted(files):
-            if name == "pipeline_manifest.json":
-                continue
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, out_dir)
-            checksums[rel] = synthdata._sha256(full)
+    written = ["dataset/manifest.json",
+               *(f"dataset/{name}" for name in data_manifest["checksums"]),
+               *(rec["solution_file"] for rec in results),
+               "results.json", "alerts.jsonl"]
+    checksums = {name: synthdata._sha256(os.path.join(out_dir, name))
+                 for name in written}
     manifest = {"format_version": synthdata.FORMAT_VERSION,
                 "seed": spec.seed, "checksums": checksums}
     _write_json(os.path.join(out_dir, "pipeline_manifest.json"), manifest)

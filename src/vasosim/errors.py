@@ -61,10 +61,6 @@ class CurveError(ProviderError):
         self.step = step
 
 
-class DispatchError(VasosimError):
-    """An alert sink write failed."""
-
-
 class SolverNotFoundError(VasosimError, KeyError):
     """Requested solver name is not the one the package ships."""
 

@@ -1,4 +1,4 @@
-"""Episode likelihood, time-to-episode, providers, and alert dispatch.
+"""Episode likelihood, time-to-episode, providers, and alert severity.
 
 A likelihood provider answers Pr(V = 1 | t = i, biophysics data) for
 horizon step i >= 0. Two providers ship here: a deterministic logistic
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     CurveError,
-    DispatchError,
     DomainError,
     NumericalError,
     ProtocolError,
@@ -43,7 +42,6 @@ __all__ = [
     "logistic_provider",
     "LlmProvider",
     "dispatch_alert",
-    "FileSink",
 ]
 
 TEMPLATE_VERSION = "v1"  # the wire request's "template_version"
@@ -132,10 +130,6 @@ class AlertPayload:
 
     def to_dict(self):
         return asdict(self)
-
-    @property
-    def idempotency_key(self):
-        return (self.session_id, self.timestamp)
 
 
 def _validate_probability(value, source):
@@ -390,34 +384,6 @@ def llm_provider(endpoint, **kwargs):
     return LlmProvider(endpoint, **kwargs)
 
 
-# ---------------------------------------------------------------------------
-# alert sinks
-
-class FileSink:
-    """JSON-lines append sink; duplicate idempotency keys are dropped."""
-
-    def __init__(self, path):
-        self.path = path
-        self._seen = set()
-        if os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rec = json.loads(line)
-                        self._seen.add((rec["session_id"], rec["timestamp"]))
-
-    def write(self, payload: AlertPayload):
-        if payload.idempotency_key in self._seen:
-            return
-        try:
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(payload.to_dict(), sort_keys=True) + "\n")
-        except OSError as exc:
-            raise DispatchError(f"file sink write failed: {exc}") from exc
-        self._seen.add(payload.idempotency_key)
-
-
 _RECOMMENDATIONS = {
     "critical": "Contact the emergency hotline now; do not wait for symptoms "
                 "to worsen.",
@@ -427,18 +393,14 @@ _RECOMMENDATIONS = {
 }
 
 
-def dispatch_alert(tte: TTEResult, prob_now, policy: AlertPolicy, sink,
+def dispatch_alert(tte: TTEResult, prob_now, policy: AlertPolicy,
                    session_id, timestamp, recommendation=None):
-    """Build the alert payload and classify severity per policy; write it to
-    ``sink`` unless the severity is "info".
+    """Build the alert payload and classify its severity per policy.
 
     "critical" when ``prob_now`` reaches ``critical_prob``, or when the
     episode peak is within ``critical_horizon`` steps and its probability
     ``tte.max_prob`` reaches ``warn_prob``; otherwise "warn" when
     ``prob_now`` reaches ``warn_prob``, else "info".
-
-    The payload is returned even when the sink write fails (the failure is
-    re-raised as DispatchError after attaching the payload).
     """
     imminent = tte.tte_step <= policy.critical_horizon \
         and tte.max_prob >= policy.warn_prob
@@ -448,7 +410,7 @@ def dispatch_alert(tte: TTEResult, prob_now, policy: AlertPolicy, sink,
         severity = "warn"
     else:
         severity = "info"
-    payload = AlertPayload(
+    return AlertPayload(
         session_id=session_id,
         timestamp=timestamp,
         tte_step=tte.tte_step,
@@ -457,10 +419,3 @@ def dispatch_alert(tte: TTEResult, prob_now, policy: AlertPolicy, sink,
         recommendation=recommendation or _RECOMMENDATIONS[severity],
         severity=severity,
     )
-    if sink is not None and severity != "info":
-        try:
-            sink.write(payload)
-        except DispatchError as exc:
-            exc.payload = payload
-            raise
-    return payload

@@ -108,6 +108,17 @@ NON_FINITE = {
 }
 
 
+# keys set to a value outside their range, each set on SMALL
+OUT_OF_RANGE = {
+    "lambda": ("solver", "lambda", "-1"),
+    "horizon": ("risk", "horizon", "0"),
+    "timeout-negative": ("risk", "timeout", "-1"),
+    "timeout-zero": ("risk", "timeout", "0"),
+    "step_seconds-negative": ("risk", "step_seconds", "-1"),
+    "step_seconds-zero": ("risk", "step_seconds", "0"),
+}
+
+
 # inputs each command rejects with exit 2: a file name and its text
 REJECTED_INPUT = {
     "echo-no-header": ("echo", "radii.csv", "1,2\n3,4\n"),
@@ -282,6 +293,19 @@ class TestExitCodes:
         code = cli.main(["--config", path, "--out", str(out), "pipeline"])
         assert code == cli.EXIT_CONFIG
         assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, text", OUT_OF_RANGE.values(),
+                             ids=OUT_OF_RANGE)
+    def test_out_of_range_exits_before_output(self, tmp_path, capsys,
+                                              section, key, text):
+        path = write_config(tmp_path / "cfg.ini", {
+            **SMALL, section: {**SMALL.get(section, {}), key: text}})
+        out = tmp_path / "out"
+        code = cli.main(["--config", path, "--out", str(out), "pipeline"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"[{section}] {key}" in err
         assert not out.exists()
 
     # every command but gen-data and pipeline, with its positional input;
@@ -801,6 +825,51 @@ class TestGenDataAndPipeline:
                 depth = 1.0 - float(np.min(sess.radii_truth)) / cfg.model.r0
                 errors.append(abs(rec["stenosis_index"] - depth))
         assert np.mean(errors) < 0.10
+
+    def test_rerun_lists_only_its_files(self, tmp_path):
+        # three sessions that all alert, then two that raise none: the
+        # second run into the used directory writes what a fresh one does
+        def config(name, sessions, **risk_keys):
+            return write_config(tmp_path / name, {
+                **SMALL, "scenario": {**SMALL["scenario"], "sessions": sessions},
+                "risk": {**SMALL["risk"], **risk_keys}})
+
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert cli.main(["--config", config("alert.ini", 3, bias=20.0),
+                         "--out", str(used), "pipeline"]) == 0
+        assert len((used / "alerts.jsonl").read_text().splitlines()) == 3
+        quiet = config("quiet.ini", 2, bias=-20.0, w_density=0.0)
+        for out in (used, fresh):
+            assert cli.main(["--config", quiet, "--out", str(out),
+                             "pipeline"]) == 0
+        for name in ("pipeline_manifest.json", "alerts.jsonl"):
+            assert (used / name).read_bytes() == (fresh / name).read_bytes()
+        assert (fresh / "alerts.jsonl").read_bytes() == b""
+        # the earlier run's files stay on disk, unlisted
+        assert (used / "solution_0002.json").exists()
+        listed = json.loads((fresh / "pipeline_manifest.json").read_text())
+        assert sorted(listed["checksums"]) == sorted(
+            str(p.relative_to(fresh)) for p in fresh.rglob("*")
+            if p.is_file() and p.name != "pipeline_manifest.json")
+
+    def test_alerts_are_the_written_records(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path / "cfg.ini", {
+            **SMALL, "scenario": {**SMALL["scenario"], "sessions": 3}}))
+        out = tmp_path / "run"
+        _, results = cli.cmd_pipeline(cfg, str(out))
+        alerts = [json.loads(line) for line in
+                  (out / "alerts.jsonl").read_text().splitlines()]
+        written = [rec for rec in results if rec["alert_written"]]
+        # session 0 has no stenosis yet, so the run alerts on some only
+        assert 0 < len(written) < len(results)
+        assert [a["session_id"] for a in alerts] == \
+            [f"s{rec['session']:04d}" for rec in written]
+        for alert, rec in zip(alerts, written):
+            assert alert["severity"] == rec["severity"] != "info"
+            assert alert["prob_now"] == rec["prob_now"]
+            assert alert["tte_step"] == rec["tte"]["tte_step"]
+            assert alert["max_prob"] == rec["tte"]["max_prob"]
+            assert alert["timestamp"] == rec["session"] * cfg.step_seconds
 
     def test_pipeline_deterministic(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -84,6 +84,15 @@ class TestGenerateScenario:
         # strictly after step 2
         assert list(first.future_labels) == [0, 0, 1, 1, 1, 1]
 
+    def test_one_progressive_session_gets_full_severity(self, model, pulse):
+        # one session is the last one, so it is the static stenosis
+        [progressive], [static] = (synthdata.generate_scenario(make_spec(
+            model, pulse, kind=kind, severity=0.5, sessions=1))
+            for kind in ("progressive-occlusion", "static-stenosis"))
+        assert np.array_equal(progressive.radii_truth, static.radii_truth)
+        assert np.array_equal(progressive.echo.samples, static.echo.samples)
+        assert progressive.label_v == 1
+
     def test_labels_match_threshold_recomputation(self, model, pulse):
         spec = make_spec(model, pulse, kind="progressive-occlusion",
                          severity=0.7, sessions=5)
