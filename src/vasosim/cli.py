@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import inspect
 import json
 import math
@@ -205,7 +206,8 @@ def load_config(path=None, overrides=None):
             raise ConfigurationError(
                 "[simulate] inlet_frequency must not exceed the grid's "
                 f"Nyquist rate 1/(2 dt) = {1 / (2 * grid.dt):g} Hz")
-        _make_provider(cfg)  # the provider's own checks, e.g. an http(s) URL
+        if provider_name == "llm":
+            risk.check_endpoint(cfg.endpoint)
     except DomainError as exc:
         raise ConfigurationError(str(exc)) from exc
     return cfg
@@ -373,7 +375,11 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None):
 
     alerts.jsonl holds each alert that is not "info"; the manifest lists
     the files this run wrote, not what an earlier run left in ``out_dir``.
+    An earlier run's manifest goes first, so a run that fails part way
+    leaves none that certifies files it overwrote.
     """
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "pipeline_manifest.json"))
     # no makedirs of out_dir first: cmd_gen_data checks [scenario] before it
     # writes anything, and making the dataset directory makes out_dir too
     spec, sessions, data_manifest = cmd_gen_data(

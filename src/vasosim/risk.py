@@ -7,14 +7,22 @@ reference, and a remote client speaking the JSON wire protocol
     request:  {"template_version": "v1", "horizon_step": int,
                "step_seconds": float, "features": {...}}
     response: {"probability": number, "recommendation": str (optional)}
+
+Each step is one HTTP POST. The remote client pipelines a curve's POSTs on
+its one keep-alive connection, save the first on a new connection and to
+servers that answer HTTP/1.0 or ``Connection: close`` (see
+:class:`LlmProvider`). A POST can be sent more than once, so the protocol's
+requests must be free of side effects.
 """
 from __future__ import annotations
 
 import base64
+import io
 import json
 import math
 import netrc
 import os
+import re
 import time
 import urllib.parse
 from dataclasses import asdict, dataclass
@@ -41,6 +49,7 @@ __all__ = [
     "compute_tte",
     "logistic_provider",
     "LlmProvider",
+    "check_endpoint",
     "dispatch_alert",
 ]
 
@@ -144,15 +153,25 @@ def _validate_probability(value, source):
 
 
 def likelihood_curve(report: BiophysicsReport, provider, horizon):
-    """Query the provider for every step 0..H and assemble the curve."""
+    """Query the provider for every step 0..H and assemble the curve.
+
+    A provider with a ``probabilities(report, steps)`` method, such as
+    :class:`LlmProvider`, is asked for every step in one call; any other is
+    called once per step. The CurveError of a failure names its step.
+    """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    values = []
-    for i in range(horizon + 1):
-        try:
-            values.append(_validate_probability(provider(report, i), "provider"))
-        except ProviderError as exc:
-            raise CurveError(f"provider failed at step {i}: {exc}", step=i) from exc
+    steps = range(horizon + 1)
+    if hasattr(provider, "probabilities"):
+        values = provider.probabilities(report, steps)
+    else:
+        values = []
+        for i in steps:
+            try:
+                values.append(
+                    _validate_probability(provider(report, i), "provider"))
+            except ProviderError as exc:
+                raise _curve_error(i, exc) from exc
     return EpisodeLikelihood(probs=np.array(values[1:]), prob_now=values[0],
                              horizon=horizon)
 
@@ -197,28 +216,40 @@ def logistic_provider(weights, bias, horizon_decay=0.0):
 class LlmProvider:
     """Remote likelihood provider speaking the JSON wire protocol.
 
+    :meth:`probabilities` is its one wire path, and a call for one step
+    takes it with a one-step list. Each request is written whole, in one
+    ``sendall``, on one ``http.client`` connection; once an HTTP/1.1
+    answer has left that connection open, every remaining step of the
+    list goes in one write and the answers are read back in order
+    (pipelining, RFC 9112 section 9.3.2). A fresh connection carries its
+    first request alone, and a server that answers HTTP/1.0 or
+    ``Connection: close`` is sent one request per connection, so no
+    server is sent a request it will not read. The wire protocol's
+    requests must therefore be free of side effects, as the retries
+    below already assume: a request can be sent again.
+
     Retries transient failures with exponential backoff: transport
     errors, timeouts, and 5xx and 429 answers, waiting a numeric
     ``Retry-After`` (capped at ``timeout``) where the answer gives one.
-    Any other non-2xx status raises TransportError at once. The
-    optional ``recommendation`` from the last successful response is kept
-    on ``last_recommendation``.
+    Each step gets at most ``max_retries + 1`` attempts; a retry resends
+    only the steps that failed. Any other non-2xx status raises
+    TransportError at once. The optional ``recommendation`` of the last
+    step's answer is kept on ``last_recommendation``.
 
-    Its one ``http.client`` connection is built here, with the
-    environment's ``http_proxy``, ``https_proxy`` (through a CONNECT
-    tunnel) and ``no_proxy``, ``~/.netrc`` credentials for the endpoint's
-    host and, for HTTPS, the system CA store (or ``SSL_CERT_FILE``) bound
-    in. ``http.client`` opens it on first use and after any close; a kept
-    connection the server dropped while idle is reopened at once, not as a
-    retry. :meth:`close`, or dropping the provider, closes it.
+    The connection is built here, with the environment's ``http_proxy``,
+    ``https_proxy`` (through a CONNECT tunnel) and ``no_proxy``,
+    ``~/.netrc`` credentials for the endpoint's host and, for HTTPS, the
+    system CA store (or ``SSL_CERT_FILE``) bound in. It opens on first use
+    and after any close. When a kept connection closes after answering,
+    the steps it left unanswered are sent again at once on a new one, not
+    as a retry. :meth:`close`, or dropping the provider, closes it.
     """
 
     def __init__(self, endpoint, timeout=5.0, step_seconds=3600.0,
                  max_retries=2, backoff=0.1):
-        # the HTTP stack loads here, not with the module, so that runs
-        # with the logistic provider do not pay its import time
-        import urllib.request
-        from http.client import HTTPConnection, HTTPSConnection, InvalidURL
+        # the HTTP stack loads here, not with the module, so that runs with
+        # the logistic provider do not pay its import time
+        from http.client import HTTPConnection, HTTPSConnection
 
         self.endpoint = endpoint
         self.timeout = timeout
@@ -227,44 +258,67 @@ class LlmProvider:
         self.backoff = backoff
         self.last_recommendation = None
 
-        url = urllib.parse.urlsplit(endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise DomainError(f"endpoint {endpoint!r} is not an http(s) URL")
-        netloc = url.netloc.rpartition("@")[2]
-        self._path = urllib.parse.urlunsplit(
-            ("", "", url.path or "/", url.query, ""))
+        url, host, target, proxy = check_endpoint(endpoint)
         credentials = _netrc_credentials(url.hostname) or _credentials(url)
-        self._headers = {"Content-Type": "application/json",
-                         **_auth_header("Authorization", credentials)}
-
-        address, tunnel = netloc, None
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if proxy and not urllib.request.proxy_bypass(netloc):
-            proxy = urllib.parse.urlsplit(
-                proxy if "://" in proxy else "http://" + proxy)
-            address = proxy.netloc.rpartition("@")[2]
+        headers = {"Host": host, "Accept-Encoding": "identity",
+                   "Content-Type": "application/json",
+                   **_auth_header("Authorization", credentials)}
+        address = host
+        if proxy is not None:
+            address = _host(proxy)
             proxy_headers = _auth_header("Proxy-Authorization",
                                          _credentials(proxy))
-            if url.scheme == "https":
-                tunnel = proxy_headers
-            else:
-                # a plain HTTP proxy is sent the absolute URL
-                self._path = urllib.parse.urlunsplit(url._replace(
-                    netloc=netloc, path=url.path or "/", fragment=""))
-                self._headers.update(proxy_headers)
+            if url.scheme == "http":
+                headers.update(proxy_headers)
         # an HTTPS connection verifies against ssl's default context
         connection = {"http": HTTPConnection,
                       "https": HTTPSConnection}[url.scheme]
-        try:  # http.client parses the port, raising InvalidURL on a bad one
-            self._conn = connection(address, timeout=timeout)
-            if tunnel is not None:
-                self._conn.set_tunnel(netloc, headers=tunnel)
-        except InvalidURL as exc:
-            raise DomainError(f"{exc} in {address!r}") from exc
+        self._conn = connection(address, timeout=timeout)
+        if proxy is not None and url.scheme == "https":
+            self._conn.set_tunnel(host, headers=proxy_headers)
+        self._head = "".join([f"POST {target} HTTP/1.1\r\n", *(
+            f"{name}: {value}\r\n" for name, value in headers.items())]
+        ).encode("ascii")
 
     def __call__(self, report: BiophysicsReport, step: int):
-        import http.client
+        """Pr(V = 1 | t = step): :meth:`probabilities` for one step,
+        raising the provider's error itself rather than a CurveError."""
+        try:
+            [p] = self.probabilities(report, [step])
+        except CurveError as exc:
+            error = exc.__cause__
+        else:
+            return p
+        raise error
 
+    def probabilities(self, report: BiophysicsReport, steps):
+        """Pr(V = 1 | t = i) for each step i of ``steps``, in their order.
+
+        Raises CurveError naming the smallest failing step, with the
+        provider's error (ProviderTimeoutError, TransportError or
+        ProtocolError) as its cause.
+        """
+        requests = {}
+        for step in steps:
+            try:
+                requests[step] = self._request(report, step)
+            except ProtocolError as exc:
+                raise _curve_error(step, exc) from exc
+        answers = {}  # step -> (probability, recommendation)
+        todo = list(steps)
+        for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(wait)
+            failed, wait = self._round(requests, todo, answers,
+                                       self.backoff * 2**attempt)
+            if not failed:
+                self.last_recommendation = answers[steps[-1]][1]
+                return [answers[step][0] for step in steps]
+            todo = sorted(failed)
+        raise _curve_error(todo[0], failed[todo[0]]) from failed[todo[0]]
+
+    def _request(self, report, step):
+        """The whole POST for one step, as bytes."""
         body = {
             "template_version": TEMPLATE_VERSION,
             "horizon_step": int(step),
@@ -275,51 +329,78 @@ class LlmProvider:
             data = json.dumps(body, allow_nan=False).encode()
         except ValueError as exc:
             raise ProtocolError("features must be finite numbers") from exc
-        last_exc = None
-        for attempt in range(self.max_retries + 1):
-            delay = self.backoff * 2**attempt
+        return b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(data),
+                                                      data)
+
+    def _round(self, requests, todo, answers, backoff):
+        """Send each step of ``todo`` once, parsing its answer into
+        ``answers``.
+
+        Returns ``(failed, wait)``: the steps that failed transiently, each
+        with its error, and the wait before they are sent again, the
+        longest of ``backoff`` and each capped Retry-After. Raises
+        CurveError at once for any other failure.
+        """
+        import http.client
+
+        failed, wait = {}, 0.0
+        todo = list(todo)
+        while todo:
+            kept = self._conn.sock is not None
+            batch = todo[:_IN_FLIGHT if kept else 1]
+            replies, error = [], None
             try:
-                resp = self._send(data)
-                answer = resp.read()
-            except TimeoutError as exc:
-                self.close()
-                last_exc = ProviderTimeoutError(
-                    f"no answer from {self.endpoint} within {self.timeout}s")
-                last_exc.__cause__ = exc
+                if not kept:
+                    self._conn.connect()
+                    self._answers = _Answers(self._conn.sock)
+                self._conn.sock.sendall(
+                    b"".join(requests[step] for step in batch))
+                for _ in batch:
+                    resp = http.client.HTTPResponse(self._answers,
+                                                    method="POST")
+                    resp.begin()
+                    replies.append((resp, resp.read()))
+                    if resp.will_close or resp.version < 11:
+                        self.close()
+                        break
             except (OSError, http.client.HTTPException) as exc:
                 self.close()
-                last_exc = TransportError(f"transport failure: {exc}")
-                last_exc.__cause__ = exc
-            else:
+                # RemoteDisconnected is a ConnectionResetError: no answer
+                # byte came, so a kept connection was closed by the server
+                if not (kept and isinstance(
+                        exc, (ConnectionResetError, BrokenPipeError))):
+                    error = TransportError(f"transport failure: {exc}")
+                    if isinstance(exc, TimeoutError):
+                        error = ProviderTimeoutError(
+                            f"no answer from {self.endpoint} within "
+                            f"{self.timeout}s")
+                    error.__cause__ = exc
+            except BaseException:
+                self.close()  # answers to what was sent may be unread on it
+                raise
+            for step, (resp, answer) in zip(todo, replies):
                 status = resp.status
                 if 200 <= status < 300:
-                    return self._parse(answer)
-                last_exc = TransportError(
+                    try:
+                        answers[step] = self._parse(answer)
+                    except ProtocolError as exc:
+                        raise _curve_error(step, exc) from exc
+                    continue
+                exc = TransportError(
                     f"{self.endpoint} answered status {status}")
                 if not (status == 429 or 500 <= status < 600):
-                    raise last_exc
-                delay = self._retry_after(resp, delay)
-            if attempt < self.max_retries:
-                time.sleep(delay)
-        raise last_exc
-
-    def _send(self, data):
-        """POST ``data``, returning the response with its headers read; a
-        kept connection the server closed unanswered is reopened at once."""
-        reused = self._conn.sock is not None
-        try:
-            self._conn.request("POST", self._path, body=data,
-                               headers=self._headers)
-            return self._conn.getresponse()
-        except (ConnectionResetError, BrokenPipeError):
-            # RemoteDisconnected is a ConnectionResetError: no answer byte
-            if not reused:
-                raise
-            self.close()
-            return self._send(data)
+                    raise _curve_error(step, exc) from exc
+                failed[step] = exc
+                wait = max(wait, self._retry_after(resp, backoff))
+            del todo[:len(replies)]
+            if error is not None:
+                # the steps after a broken answer went unanswered with it
+                failed.update(dict.fromkeys(todo, error))
+                return failed, max(wait, backoff)
+        return failed, wait
 
     def close(self):
-        """Close the connection; the next call opens it again."""
+        """Close the connection; the next request opens it again."""
         self._conn.close()
 
     def __del__(self):
@@ -338,6 +419,7 @@ class LlmProvider:
         return min(seconds, self.timeout)
 
     def _parse(self, answer):
+        """``(probability, recommendation)`` from an answer's body."""
         try:
             payload = json.loads(answer)
         except ValueError as exc:
@@ -348,8 +430,95 @@ class LlmProvider:
         rec = payload.get("recommendation")
         if rec is not None and not isinstance(rec, str):
             raise ProtocolError("'recommendation' must be a string")
-        self.last_recommendation = rec
-        return p
+        return p, rec
+
+
+# requests written at once on a kept connection. The answers to 64 fit the
+# socket buffers, so a server that answers while the client still writes
+# never blocks on a full one; unbounded, a 40,000-step curve on loopback
+# stalled both sides until the timeout.
+_IN_FLIGHT = 64
+
+
+class _Answers(io.BufferedReader):
+    """The read side of one connection. Every ``http.client.HTTPResponse``
+    read from it takes it as its socket, so an answer that arrived with an
+    earlier one waits in this one buffer for its turn. A response flushes
+    and closes its file when it is done, even after the socket has closed;
+    both leave this one as it is, and closing the socket ends it."""
+
+    def __init__(self, sock):
+        import socket
+        super().__init__(socket.SocketIO(sock, "rb"))
+
+    def makefile(self, mode):
+        return self
+
+    def flush(self):
+        pass
+
+    close = flush
+
+
+def check_endpoint(endpoint):
+    """Check ``endpoint`` and find the route of its requests.
+
+    Returns ``(url, host, target, proxy)``: the split endpoint, its
+    ``host[:port]`` in ASCII for the ``Host`` header, the request target,
+    and the split URL of the environment's proxy for it, None when the
+    requests go direct. A plain HTTP proxy is sent the absolute URL.
+    Raises DomainError unless the endpoint is an http(s) URL with a host,
+    its host and request target are printable ASCII without spaces, and
+    its port and the proxy's are numbers in 0..65535. It reads no
+    credentials and builds no connection, so a config check can call it.
+    """
+    import urllib.request
+
+    url = urllib.parse.urlsplit(endpoint)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise DomainError(f"endpoint {endpoint!r} is not an http(s) URL")
+    host = _host(url)
+    target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if proxy and not urllib.request.proxy_bypass(
+            url.netloc.rpartition("@")[2]):
+        proxy = urllib.parse.urlsplit(
+            proxy if "://" in proxy else "http://" + proxy)
+        _host(proxy)
+        if url.scheme == "http":
+            target = f"http://{host}{target}"
+    else:
+        proxy = None
+    if not _PRINTABLE.fullmatch(target):
+        raise DomainError(f"request target {target!r} is not printable "
+                          "ASCII without spaces")
+    return url, host, target, proxy
+
+
+_PRINTABLE = re.compile(r"[!-~]+")  # printable ASCII, no space
+
+
+def _host(url):
+    """``host[:port]`` of a split URL, without user info, in ASCII (IDNA).
+
+    Raises DomainError when the port is not a number in 0..65535 or the
+    host does not encode as printable ASCII without spaces.
+    """
+    netloc = url.netloc.rpartition("@")[2]
+    try:
+        url.port  # parses the port
+        host = netloc.encode("idna").decode("ascii")
+    except ValueError as exc:  # UnicodeError is a ValueError
+        raise DomainError(f"bad host or nonnumeric port in {netloc!r}: "
+                          f"{exc}") from exc
+    if not _PRINTABLE.fullmatch(host):
+        raise DomainError(f"host {netloc!r} is not printable ASCII")
+    return host
+
+
+def _curve_error(step, exc):
+    """The CurveError of a curve whose ``step`` failed with ``exc``."""
+    return CurveError(f"provider failed at step {step}: {exc}", step=step)
 
 
 def _credentials(url):

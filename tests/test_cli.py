@@ -185,6 +185,17 @@ class TestLoadConfig:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    def test_llm_config_builds_no_provider(self, tmp_path, monkeypatch):
+        # the endpoint is checked without a connection, credentials or a
+        # provider; the command builds its one provider itself
+        built = []
+        monkeypatch.setattr(risk.LlmProvider, "__init__",
+                            lambda self, *args, **kwargs: built.append(args))
+        cfg = cli.load_config(write_config(tmp_path / "llm.ini", {
+            "risk": {"provider": "llm", "endpoint": "http://127.0.0.1:1/"}}))
+        assert cfg.endpoint == "http://127.0.0.1:1/"
+        assert built == []
+
     def test_unstable_grid_rejected(self, tmp_path):
         path = write_config(tmp_path / "bad.ini",
                             {"grid": {"dt": 1.0}})
@@ -851,6 +862,24 @@ class TestGenDataAndPipeline:
         assert sorted(listed["checksums"]) == sorted(
             str(p.relative_to(fresh)) for p in fresh.rglob("*")
             if p.is_file() and p.name != "pipeline_manifest.json")
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, small_config,
+                                                   tmp_path):
+        # the rerun rewrites the dataset and a solution, then fails at its
+        # provider; no manifest may certify the files it overwrote
+        out = tmp_path / "run"
+        assert cli.main(["--config", small_config, "--seed", "0",
+                         "--out", str(out), "pipeline"]) == 0
+        code = cli.main(["--config", small_config, "--seed", "9",
+                         "--provider", "llm",
+                         "--endpoint", "http://127.0.0.1:1/",
+                         "--out", str(out), "pipeline"])
+        assert code == cli.EXIT_PROVIDER
+        manifest = out / "pipeline_manifest.json"
+        if manifest.exists():
+            checksums = json.loads(manifest.read_text())["checksums"]
+            assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in checksums} == checksums
 
     def test_alerts_are_the_written_records(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path / "cfg.ini", {

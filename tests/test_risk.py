@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from socketserver import ThreadingMixIn
 from pathlib import Path
 
 import numpy as np
@@ -194,12 +195,20 @@ class _StubHandler(BaseHTTPRequestHandler):
     behavior = staticmethod(lambda body: (200, {"probability": 0.5}))
     requests_seen = []
     headers_seen = []
+    # per request, whether the client had sent the next one on the same
+    # connection before this answer: reading a byte at a time, the handler
+    # takes no more than one request out of the socket (this does not hold
+    # over TLS, whose socket reads whole records)
+    ahead_seen = []
+    rbufsize = 1
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).requests_seen.append(body)
         type(self).headers_seen.append(self.headers)
+        type(self).ahead_seen.append(
+            bool(select.select([self.connection], [], [], 0)[0]))
         # behavior returns (status, payload) or (status, payload, headers)
         status, payload, *headers = type(self).behavior(body)
         data = json.dumps(payload).encode() if payload is not None else b"x"
@@ -215,9 +224,30 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+def _step_answer(body):
+    """Step i's answer: probability i / 100, recommendation "step i"."""
+    step = body["horizon_step"]
+    return 200, {"probability": step / 100, "recommendation": f"step {step}"}
+
+
 class _StubServer(HTTPServer):
-    """Reports a handler's errors, save a client that hung up before its
-    answer was written, as one that timed out has."""
+    """Counts the connections it accepts; ``closed`` is set each time it
+    has closed one. Reports a handler's errors, save a client that hung up
+    before its answer was written, as one that timed out has."""
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.connections = 0
+        self.closed = threading.Event()
+
+    def get_request(self):
+        accepted = super().get_request()
+        self.connections += 1
+        return accepted
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
 
     def handle_error(self, request, client_address):
         if not isinstance(sys.exc_info()[1],
@@ -239,36 +269,24 @@ def _serving(server):
 
 @pytest.fixture
 def stub_server():
-    handler = type("Handler", (_StubHandler,),
-                   {"requests_seen": [], "headers_seen": []})
-    with _serving(_StubServer(("127.0.0.1", 0), handler)) as server:
+    handler = type("Handler", (_StubHandler,), {
+        "requests_seen": [], "headers_seen": [], "ahead_seen": []})
+    with _serving(_StubServer(handler)) as server:
         yield handler, f"http://127.0.0.1:{server.server_address[1]}/"
 
 
-class _CountingServer(ThreadingHTTPServer):
-    """Counts the connections it accepts; ``closed`` is set each time it
-    has closed one."""
-
-    def __init__(self, handler):
-        super().__init__(("127.0.0.1", 0), handler)
-        self.connections = 0
-        self.closed = threading.Event()
-
-    def process_request(self, request, client_address):
-        self.connections += 1
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        self.closed.set()
+class _ThreadingStubServer(ThreadingMixIn, _StubServer):
+    daemon_threads = True
 
 
 @pytest.fixture
 def keepalive_server():
     """An HTTP/1.1 stub; a handler whose ``drop`` is true closes the
-    connection after its answer without saying so."""
+    connection after its answer without saying so. It first reads what
+    the client sent ahead, as a lingering close does: closing a socket
+    with unread data sends a reset, which can discard answers in flight."""
     handler = type("Handler", (_StubHandler,), {
-        "requests_seen": [], "headers_seen": [],
+        "requests_seen": [], "headers_seen": [], "ahead_seen": [],
         "protocol_version": "HTTP/1.1", "drop": False,
         # the answer goes out in two writes; with Nagle on, the second
         # waits for the client's delayed ACK
@@ -276,10 +294,15 @@ def keepalive_server():
 
     def handle_one_request(self):
         _StubHandler.handle_one_request(self)
-        self.close_connection = self.close_connection or type(self).drop
+        if type(self).drop:
+            self.close_connection = True
+            self.connection.setblocking(False)
+            with contextlib.suppress(BlockingIOError):
+                while self.connection.recv(65536):
+                    pass
 
     handler.handle_one_request = handle_one_request
-    with _serving(_CountingServer(handler)) as server:
+    with _serving(_ThreadingStubServer(handler)) as server:
         yield handler, server, f"http://127.0.0.1:{server.server_address[1]}/"
 
 
@@ -295,9 +318,9 @@ def https_server():
     """An HTTP/1.1 stub behind TLS with the certificate in ``tls/``; the
     TLS handshake runs as the server accepts."""
     handler = type("Handler", (_StubHandler,), {
-        "requests_seen": [], "headers_seen": [],
+        "requests_seen": [], "headers_seen": [], "ahead_seen": [],
         "protocol_version": "HTTP/1.1", "disable_nagle_algorithm": True})
-    server = _CountingServer(handler)
+    server = _ThreadingStubServer(handler)
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(TLS_DIR / "cert.pem", TLS_DIR / "key.pem")
     server.socket = context.wrap_socket(server.socket, server_side=True)
@@ -542,6 +565,21 @@ class TestLlmProvider:
         with pytest.raises(DomainError):
             risk.llm_provider(endpoint)
 
+    @pytest.mark.parametrize("endpoint", ["http://h/a b", "http://h/\u00fc",
+                                          "http://a..b/"])
+    def test_request_line_must_be_printable_ascii(self, endpoint):
+        # the request is written as bytes: a space, a non-ASCII path or an
+        # unencodable host would break its request line or Host header
+        with pytest.raises(DomainError):
+            risk.check_endpoint(endpoint)
+
+    def test_host_header_in_idna(self, monkeypatch):
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        url, host, target, proxy = risk.check_endpoint(
+            "http://b\u00fccher.example:81/a?b=1")
+        assert (host, target) == ("xn--bcher-kva.example:81", "/a?b=1")
+
     def test_port_not_a_number(self, monkeypatch):
         # http.client parses the port as it builds the connection
         with pytest.raises(DomainError, match="nonnumeric port"):
@@ -565,6 +603,96 @@ class TestLlmProvider:
                                      max_retries=0)
         with pytest.raises(TransportError):
             provider(make_report(), 0)
+
+
+class TestPipelinedCurve:
+    """likelihood_curve on the remote provider: step 0 goes alone on a new
+    connection, then steps 1..H in one write, answered in order."""
+
+    def test_steps_in_flight_together(self, keepalive_server):
+        handler, server, url = keepalive_server
+        handler.behavior = staticmethod(_step_answer)
+        provider = risk.llm_provider(url, timeout=2.0)
+        curve = risk.likelihood_curve(make_report(), provider, 24)
+        provider.close()
+        assert curve.prob_now == 0.0
+        assert list(curve.probs) == [i / 100 for i in range(1, 25)]
+        assert [body["horizon_step"] for body in handler.requests_seen] \
+            == list(range(25))
+        assert server.connections == 1
+        # each of steps 1..23 was answered with the next already sent
+        assert handler.ahead_seen == [False] + [True] * 23 + [False]
+
+    def test_transient_failure_resends_that_step_only(self,
+                                                      keepalive_server):
+        handler, server, url = keepalive_server
+        busy = {5}
+
+        def behavior(body):
+            if body["horizon_step"] in busy:
+                busy.remove(body["horizon_step"])
+                return 503, {"error": "busy"}
+            return _step_answer(body)
+
+        handler.behavior = staticmethod(behavior)
+        provider = risk.llm_provider(url, timeout=2.0, backoff=0.01)
+        curve = risk.likelihood_curve(make_report(), provider, 24)
+        provider.close()
+        assert list(curve.probs) == [i / 100 for i in range(1, 25)]
+        assert [body["horizon_step"] for body in handler.requests_seen] \
+            == [*range(25), 5]
+        # step 5 was answered last, but the curve's last step is 24
+        assert provider.last_recommendation == "step 24"
+
+    def test_client_error_fails_at_once(self, keepalive_server):
+        handler, server, url = keepalive_server
+        handler.behavior = staticmethod(
+            lambda body: (400, {"error": "no"}) if body["horizon_step"] == 7
+            else _step_answer(body))
+        provider = risk.llm_provider(url, timeout=2.0, backoff=0.01)
+        with pytest.raises(CurveError) as failure:
+            risk.likelihood_curve(make_report(), provider, 24)
+        provider.close()
+        assert failure.value.step == 7
+        assert isinstance(failure.value.__cause__, TransportError)
+        assert "400" in str(failure.value.__cause__)
+        # the answers in flight were read; nothing was sent twice
+        assert [body["horizon_step"] for body in handler.requests_seen] \
+            == list(range(25))
+
+    def test_dropped_connection_resends_the_rest_at_once(self,
+                                                         keepalive_server):
+        handler, server, url = keepalive_server
+
+        def behavior(body):
+            handler.drop = body["horizon_step"] == 10  # closes, unannounced
+            return _step_answer(body)
+
+        handler.behavior = staticmethod(behavior)
+        provider = risk.llm_provider(url, timeout=2.0, backoff=5.0)
+        start = time.monotonic()
+        curve = risk.likelihood_curve(make_report(), provider, 24)
+        assert time.monotonic() - start < 2.0  # no retry sleep
+        provider.close()
+        assert list(curve.probs) == [i / 100 for i in range(1, 25)]
+        assert [body["horizon_step"] for body in handler.requests_seen] \
+            == list(range(25))
+        assert server.connections == 2
+        # step 11 opened the second connection alone
+        assert handler.ahead_seen[11:] == [False] + [True] * 12 + [False]
+
+    def test_closing_server_sent_one_request_per_connection(self,
+                                                             stub_server):
+        # the HTTP/1.0 stub reads one request per connection, then closes:
+        # no request may wait behind another
+        handler, url = stub_server
+        handler.behavior = staticmethod(_step_answer)
+        provider = risk.llm_provider(url, timeout=2.0)
+        curve = risk.likelihood_curve(make_report(), provider, 4)
+        assert list(curve.probs) == [0.01, 0.02, 0.03, 0.04]
+        assert [body["horizon_step"] for body in handler.requests_seen] \
+            == list(range(5))
+        assert handler.ahead_seen == [False] * 5
 
 
 class TestLlmProviderTls:
