@@ -428,12 +428,15 @@ def cmd_pipeline(cfg: RunConfig, out_dir, seed=None):
     with open(os.path.join(out_dir, "alerts.jsonl"), "w") as fh:
         fh.writelines(alerts)
 
+    # write_dataset hashed the dataset's CSVs as it wrote them; their
+    # digests are in its manifest.json, which is hashed here
     written = ["dataset/manifest.json",
-               *(f"dataset/{name}" for name in data_manifest["checksums"]),
                *(rec["solution_file"] for rec in results),
                "results.json", "alerts.jsonl"]
     checksums = {name: synthdata._sha256(os.path.join(out_dir, name))
                  for name in written}
+    checksums.update((f"dataset/{name}", digest)
+                     for name, digest in data_manifest["checksums"].items())
     manifest = {"format_version": synthdata.FORMAT_VERSION,
                 "seed": spec.seed, "checksums": checksums}
     _write_json(os.path.join(out_dir, "pipeline_manifest.json"), manifest)

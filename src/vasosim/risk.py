@@ -12,7 +12,8 @@ Each step is one HTTP POST. The remote client pipelines a curve's POSTs on
 its one keep-alive connection, save the first on a new connection and to
 servers that answer HTTP/1.0 or ``Connection: close`` (see
 :class:`LlmProvider`). A POST can be sent more than once, so the protocol's
-requests must be free of side effects.
+requests must be free of side effects. The configured endpoint alone
+routes the client's requests and gives their credentials.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ import base64
 import io
 import json
 import math
-import netrc
-import os
 import re
 import time
 import urllib.parse
@@ -236,13 +235,15 @@ class LlmProvider:
     TransportError at once. The optional ``recommendation`` of the last
     step's answer is kept on ``last_recommendation``.
 
-    The connection is built here, with the environment's ``http_proxy``,
-    ``https_proxy`` (through a CONNECT tunnel) and ``no_proxy``,
-    ``~/.netrc`` credentials for the endpoint's host and, for HTTPS, the
-    system CA store (or ``SSL_CERT_FILE``) bound in. It opens on first use
-    and after any close. When a kept connection closes after answering,
-    the steps it left unanswered are sent again at once on a new one, not
-    as a retry. :meth:`close`, or dropping the provider, closes it.
+    The connection is built here, straight to the endpoint's host, with
+    the endpoint's user info, if any, as Basic ``Authorization`` and, for
+    HTTPS, the system CA store (or ``SSL_CERT_FILE``) bound in. The
+    endpoint alone says where the requests go and what credentials they
+    carry; no other environment setting routes or signs them. It opens
+    on first use and after any close. When a kept connection closes after
+    answering, the steps it left unanswered are sent again at once on a
+    new one, not as a retry. :meth:`close`, or dropping the provider,
+    closes it.
     """
 
     def __init__(self, endpoint, timeout=5.0, step_seconds=3600.0,
@@ -258,24 +259,14 @@ class LlmProvider:
         self.backoff = backoff
         self.last_recommendation = None
 
-        url, host, target, proxy = check_endpoint(endpoint)
-        credentials = _netrc_credentials(url.hostname) or _credentials(url)
+        url, host, target = check_endpoint(endpoint)
         headers = {"Host": host, "Accept-Encoding": "identity",
                    "Content-Type": "application/json",
-                   **_auth_header("Authorization", credentials)}
-        address = host
-        if proxy is not None:
-            address = _host(proxy)
-            proxy_headers = _auth_header("Proxy-Authorization",
-                                         _credentials(proxy))
-            if url.scheme == "http":
-                headers.update(proxy_headers)
+                   **_auth_header(url)}
         # an HTTPS connection verifies against ssl's default context
         connection = {"http": HTTPConnection,
                       "https": HTTPSConnection}[url.scheme]
-        self._conn = connection(address, timeout=timeout)
-        if proxy is not None and url.scheme == "https":
-            self._conn.set_tunnel(host, headers=proxy_headers)
+        self._conn = connection(host, timeout=timeout)
         self._head = "".join([f"POST {target} HTTP/1.1\r\n", *(
             f"{name}: {value}\r\n" for name, value in headers.items())]
         ).encode("ascii")
@@ -461,38 +452,25 @@ class _Answers(io.BufferedReader):
 
 
 def check_endpoint(endpoint):
-    """Check ``endpoint`` and find the route of its requests.
+    """Check ``endpoint`` and split it into what its requests need.
 
-    Returns ``(url, host, target, proxy)``: the split endpoint, its
-    ``host[:port]`` in ASCII for the ``Host`` header, the request target,
-    and the split URL of the environment's proxy for it, None when the
-    requests go direct. A plain HTTP proxy is sent the absolute URL.
-    Raises DomainError unless the endpoint is an http(s) URL with a host,
-    its host and request target are printable ASCII without spaces, and
-    its port and the proxy's are numbers in 0..65535. It reads no
-    credentials and builds no connection, so a config check can call it.
+    Returns ``(url, host, target)``: the split endpoint, its
+    ``host[:port]`` in ASCII for the connection and the ``Host`` header,
+    and the request target, its path and query. Raises DomainError unless
+    the endpoint is an http(s) URL with a host, its host and request
+    target are printable ASCII without spaces, and its port is a number in
+    0..65535. It reads nothing from the environment and builds no
+    connection, so a config check can call it.
     """
-    import urllib.request
-
     url = urllib.parse.urlsplit(endpoint)
     if url.scheme not in ("http", "https") or not url.hostname:
         raise DomainError(f"endpoint {endpoint!r} is not an http(s) URL")
     host = _host(url)
     target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
-    proxy = urllib.request.getproxies().get(url.scheme)
-    if proxy and not urllib.request.proxy_bypass(
-            url.netloc.rpartition("@")[2]):
-        proxy = urllib.parse.urlsplit(
-            proxy if "://" in proxy else "http://" + proxy)
-        _host(proxy)
-        if url.scheme == "http":
-            target = f"http://{host}{target}"
-    else:
-        proxy = None
     if not _PRINTABLE.fullmatch(target):
         raise DomainError(f"request target {target!r} is not printable "
                           "ASCII without spaces")
-    return url, host, target, proxy
+    return url, host, target
 
 
 _PRINTABLE = re.compile(r"[!-~]+")  # printable ASCII, no space
@@ -521,30 +499,15 @@ def _curve_error(step, exc):
     return CurveError(f"provider failed at step {step}: {exc}", step=step)
 
 
-def _credentials(url):
-    """(user, password) from a split URL's user info; None without one."""
+def _auth_header(url):
+    """``{"Authorization": "Basic ..."}`` from a split URL's user info;
+    {} without one."""
     if url.username is None:
-        return None
-    return (urllib.parse.unquote(url.username),
-            urllib.parse.unquote(url.password or ""))
-
-
-def _netrc_credentials(host):
-    """(login, password) for ``host`` from ``$NETRC`` or ``~/.netrc``;
-    None when the file is missing or unreadable or names no such host."""
-    try:
-        entry = netrc.netrc(os.environ.get("NETRC")).authenticators(host)
-    except (OSError, netrc.NetrcParseError):
-        return None
-    return entry and (entry[0] or entry[1], entry[2])
-
-
-def _auth_header(name, credentials):
-    """``{name: "Basic ..."}`` for (user, password); {} for None."""
-    if not credentials:
         return {}
-    token = base64.b64encode(":".join(credentials).encode()).decode("ascii")
-    return {name: f"Basic {token}"}
+    user = urllib.parse.unquote(url.username)
+    password = urllib.parse.unquote(url.password or "")
+    token = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+    return {"Authorization": f"Basic {token}"}
 
 
 def llm_provider(endpoint, **kwargs):

@@ -35,3 +35,21 @@ def test_cli_imports_no_http_library():
         text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_llm_config_loads_no_http_library(tmp_path):
+    # the endpoint is checked at config time without the HTTP stack, and
+    # nothing reads proxies or netrc; building the provider loads http.client
+    ini = tmp_path / "llm.ini"
+    ini.write_text("[risk]\nprovider = llm\nendpoint = http://127.0.0.1:1/\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from vasosim import cli; "
+         f"cfg = cli.load_config({str(ini)!r}); "
+         "print(sorted({'http.client', 'ssl', 'urllib.request', 'netrc'} "
+         "& set(sys.modules))); cli._make_provider(cfg); "
+         "print('http.client' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[]", "True"]
