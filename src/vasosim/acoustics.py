@@ -49,6 +49,8 @@ __all__ = [
 
 # cycles in the Hann-windowed incident burst
 N_CYCLES = 5
+# estimate_tof's lowest accepted peak of the normalized cross-correlation
+CORRELATION_FLOOR = 0.2
 
 
 @dataclass(frozen=True)
@@ -311,12 +313,12 @@ def synthesize_echo(radii_column, pulse: PulseSpec, grid: Grid,
     return EchoTrace(samples=reflectivity(radii) @ bursts, fs=fs)
 
 
-def estimate_tof(incident: EchoTrace, echo: EchoTrace,
-                 correlation_floor=0.2):
+def estimate_tof(incident: EchoTrace, echo: EchoTrace):
     """Time of flight by normalized cross-correlation over nonnegative lags,
     refined with three-point parabolic interpolation around the peak. The
     refinement moves the peak by at most one sample, and only at lags >= 1,
-    so the time of flight is never negative."""
+    so the time of flight is never negative. A peak below
+    :data:`CORRELATION_FLOOR` raises LowConfidenceError."""
     if incident.fs != echo.fs:
         raise EstimationError("sample rates differ")
     a = incident.samples
@@ -329,9 +331,9 @@ def estimate_tof(incident: EchoTrace, echo: EchoTrace,
     corr = np.correlate(b, a, mode="full")[a.size - 1:] / (na * nb)
     k = int(np.argmax(corr))
     peak = float(corr[k])
-    if peak < correlation_floor:
+    if peak < CORRELATION_FLOOR:
         raise LowConfidenceError(
-            f"peak correlation {peak:.3g} below floor {correlation_floor}")
+            f"peak correlation {peak:.3g} below floor {CORRELATION_FLOOR}")
     delta = 0.0
     if 0 < k < corr.size - 1:
         denom = corr[k - 1] - 2 * corr[k] + corr[k + 1]

@@ -296,15 +296,16 @@ def _report(cfg: RunConfig, record):
     """The provider's report from a JSON record: a report with its
     ``stenosis_index``, or an ``invert`` solution, whose ``radii_m`` give
     the index. Every other feature is read from the report's keys.
-    Raises ConfigurationError on a record that is neither."""
+    Raises ConfigurationError on a record that is neither, or on a key of
+    the wrong type."""
     if not isinstance(record, dict):
         raise ConfigurationError("a report must be a JSON object")
 
-    def number(key, default):
+    def read(key, default, valid=_is_number, kind="a number"):
         value = record.get(key, default)
-        if not _is_number(value):
+        if not valid(value):
             raise ConfigurationError(
-                f"report key {key!r} must be a number, not {value!r}")
+                f"report key {key!r} must be {kind}, not {value!r}")
         return value
 
     if "radii_m" in record:
@@ -316,15 +317,17 @@ def _report(cfg: RunConfig, record):
         radii = np.asarray(radii, dtype=float)
         stenosis = float(np.clip(1.0 - np.min(radii) / cfg.model.r0, 0.0, 1.0))
     else:
-        stenosis = number("stenosis_index", None)
+        stenosis = read("stenosis_index", None)
     return risk.BiophysicsReport(
         stenosis_index=stenosis,
-        density_fractional_change=number("density_fractional_change", 0.0),
-        tof=number("tof_s", 0.0),
-        timestamp=number("timestamp", 0.0),
-        session_id=record.get("session_id", "cli"),
-        residual_norm=number("residual_norm", 0.0),
-        converged=record.get("converged", True),
+        density_fractional_change=read("density_fractional_change", 0.0),
+        tof=read("tof_s", 0.0),
+        timestamp=read("timestamp", 0.0),
+        session_id=read("session_id", "cli",
+                        lambda v: isinstance(v, str), "a string"),
+        residual_norm=read("residual_norm", 0.0),
+        converged=read("converged", True,
+                       lambda v: isinstance(v, bool), "a boolean"),
     )
 
 

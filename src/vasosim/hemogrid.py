@@ -85,11 +85,6 @@ class Grid:
                 f"(cfl={self.cfl}, dx={self.dx}, s_max={self.s_max})"
             )
 
-    @property
-    def x(self):
-        """Cell-center coordinates."""
-        return (np.arange(self.nx) + 0.5) * self.dx
-
 
 @dataclass(frozen=True)
 class ArteryModel:
@@ -244,7 +239,7 @@ def _check_diffusion(grid, model):
 
 
 def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
-                  bc="periodic", nonlinear=True):
+                  bc="periodic"):
     """Advance the velocity one explicit Euler step of the reduced momentum
     balance, with upwind advection and central pressure/diffusion stencils.
 
@@ -257,13 +252,13 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
         raise DomainError("state dimensions do not match grid")
     _check_diffusion(grid, model)
     velocity, pressure = _ghosted(bc, u, p)
-    _momentum_step(velocity, pressure, grid, model, _scratch(velocity.shape),
-                   nonlinear)(_abs_max(u))
+    _momentum_step(velocity, pressure, grid, model,
+                   _scratch(velocity.shape))(_abs_max(u))
     return FlowState(area=state.area.copy(), velocity=velocity[1:-1],
                      pressure=p.copy())
 
 
-def _momentum_step(U, P, grid, model, work, nonlinear=True):
+def _momentum_step(U, P, grid, model, work):
     """One step of :func:`step_momentum`, bound to ``U``, ``P`` and
     ``work``: calling it with ``u_max``, max|u| over every cell, advances
     the velocity ``U[1:-1]`` in place. ``U`` and ``P`` run along the
@@ -300,32 +295,29 @@ def _momentum_step(U, P, grid, model, work, nonlinear=True):
         divide(rhs, dx2, rhs)
         multiply(rhs, inv_re, rhs)
         subtract(rhs, dpdx, rhs)
-        if nonlinear:
-            # du[i] is cell i's backward difference and cell i-1's forward
-            # one: pick the upwind difference, then divide
-            subtract(u_r, u_l, du)
-            greater_equal(u, zero, upwind)
-            copyto(dpdx, du_r)
-            copyto(dpdx, du_l, where=upwind)
-            divide(dpdx, dx, dpdx)
-            multiply(dpdx, u, dpdx)
-            subtract(rhs, dpdx, rhs)
+        # du[i] is cell i's backward difference and cell i-1's forward
+        # one: pick the upwind difference, then divide
+        subtract(u_r, u_l, du)
+        greater_equal(u, zero, upwind)
+        copyto(dpdx, du_r)
+        copyto(dpdx, du_l, where=upwind)
+        divide(dpdx, dx, dpdx)
+        multiply(dpdx, u, dpdx)
+        subtract(rhs, dpdx, rhs)
         multiply(rhs, gain, rhs)
         add(u, rhs, u)
 
     return step
 
 
-def solve_flow(model: ArteryModel, grid: Grid, inlet=None,
-               initial_radii=None):
+def solve_flow(model: ArteryModel, grid: Grid, inlet, initial_radii=None):
     """Run the coupled continuity/momentum loop and record the radii history.
 
     Parameters
     ----------
-    inlet : array of length nt, or None
+    inlet : array of length nt
         Gauge pressure imposed at x=0 (added to p_ext), which drives the
-        first cell through the tube law; None holds it at 0. The outlet
-        is zero-gradient.
+        first cell through the tube law. The outlet is zero-gradient.
     initial_radii : optional radii column, defaults to constant r0.
 
     Returns
@@ -352,7 +344,7 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet=None,
     return RadiiField(values=radii, grid=grid), states
 
 
-def final_radii(model: ArteryModel, grid: Grid, initial_radii, inlet=None):
+def final_radii(model: ArteryModel, grid: Grid, initial_radii, inlet):
     """Radii after ``grid.nt - 1`` steps of :func:`solve_flow`, for a
     ``(rows, nx)`` stack of initial columns advanced together.
 
@@ -396,8 +388,7 @@ def _flow(model, grid, initial_radii, inlet):
     sqrt_d_rest = np.ascontiguousarray(np.sqrt(np.pi) * initial_radii.T)
     d[:] = (np.pi * initial_radii**2).T
 
-    waveform = (np.zeros(grid.nt) if inlet is None
-                else np.asarray(inlet, dtype=float))
+    waveform = np.asarray(inlet, dtype=float)
     if waveform.shape != (grid.nt,):
         raise DomainError("inlet waveform length must equal nt")
     # the inlet cell is driven through the wall closure, so its area at

@@ -61,8 +61,9 @@ class InverseProblem:
     grid: Grid
     model: ArteryModel
     lam: float | None = None
-    prior: np.ndarray | None = None
     bounds: tuple[float, float] = (1e-4, 1e-2)
+    # the uniform r0 column: the penalty's reference and the solve's start
+    prior: np.ndarray = field(init=False, repr=False, compare=False)
     bursts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,15 +72,9 @@ class InverseProblem:
         r_min, r_max = self.bounds
         if not (0 < r_min < r_max):
             raise DomainError("bounds must satisfy 0 < r_min < r_max")
-        prior = self.prior
-        if prior is None:
-            prior = np.full(self.grid.nx, self.model.r0)
-        prior = np.asarray(prior, dtype=float)
-        if prior.shape != (self.grid.nx,):
-            raise DomainError("prior length must equal grid.nx")
-        if np.any(prior < r_min) or np.any(prior > r_max):
+        if not r_min <= self.model.r0 <= r_max:
             raise DomainError("prior must lie within bounds")
-        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "prior", np.full(self.grid.nx, self.model.r0))
         object.__setattr__(self, "bursts", burst_matrix(
             self.pulse, self.grid, self.observed.fs, self.duration))
 

@@ -44,14 +44,14 @@ class ScenarioSpec:
     grid: Grid
     model: ArteryModel
     pulse: PulseSpec
+    fs: float
+    duration: float
     severity: float = 0.0
     stenosis_center: int = 0
     stenosis_width: float = 3.0
     noise_rms: float = 0.0
     seed: int = 0
     sessions: int = 1
-    fs: float | None = None        # None -> derived by echo_timing
-    duration: float | None = None  # None -> derived by echo_timing
     horizon: int = 24
     occlusion_threshold: float = 0.6
     perturbation_pa: float = 10.0
@@ -64,11 +64,6 @@ class ScenarioSpec:
             if not (0 <= self.stenosis_center - half
                     and self.stenosis_center + half < self.grid.nx):
                 raise DomainError("stenosis geometry does not fit inside the grid")
-        fs, duration = echo_timing(self.pulse, self.grid)
-        if self.fs is None:
-            object.__setattr__(self, "fs", fs)
-        if self.duration is None:
-            object.__setattr__(self, "duration", duration)
 
 
 def check_scenario(kind, severity, sessions, noise_rms, stenosis_width):
@@ -250,19 +245,24 @@ def write_dataset(sessions, path, spec: ScenarioSpec):
 
 def read_dataset(path):
     """Load sessions back; verifies per-file checksums, the format tag, and
-    each file's header and shape."""
+    each file's header and shape. A session file the checksums do not list
+    is corrupt."""
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise VersionError(
             f"unsupported dataset format {manifest.get('format_version')!r}")
-    for name, digest in manifest["checksums"].items():
+    checksums = manifest["checksums"]
+    for name, digest in checksums.items():
         actual = _sha256(os.path.join(path, name))
         if actual != digest:
             raise CorruptionError(f"{name}: checksum mismatch")
     grid = manifest["spec"]["grid"]
     sessions = []
     for entry in manifest["sessions"]:
+        for key in ("radii_file", "echo_file"):
+            if entry[key] not in checksums:
+                raise CorruptionError(f"{entry[key]}: no checksum")
         radii = hemogrid.read_radii_csv(
             os.path.join(path, entry["radii_file"]),
             s_max=grid["s_max"], cfl=grid["cfl"])

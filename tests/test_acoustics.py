@@ -354,8 +354,7 @@ class TestEstimateTof:
         b = rng.normal(size=1024)  # unrelated noise
         with pytest.raises(LowConfidenceError):
             ac.estimate_tof(ac.EchoTrace(samples=a, fs=1.0),
-                            ac.EchoTrace(samples=b, fs=1.0),
-                            correlation_floor=0.9)
+                            ac.EchoTrace(samples=b, fs=1.0))
 
     def test_mismatched_fs(self):
         a = np.ones(16)

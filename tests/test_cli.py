@@ -658,9 +658,11 @@ class TestAssess:
     @pytest.mark.parametrize("text", [
         '[1, 2]', '{"stenosis_index": "0.3"}', '{"radii_m": []}',
         '{"stenosis_index": 0.3, "timestamp": NaN}',
-        '{"radii_m": [0.001, 1%s]}' % ("0" * 400)],
+        '{"radii_m": [0.001, 1%s]}' % ("0" * 400),
+        '{"stenosis_index": 0.3, "session_id": NaN}',
+        '{"stenosis_index": 0.3, "converged": "no"}'],
         ids=["list", "string-index", "empty-radii", "nan-timestamp",
-             "int-beyond-float"])
+             "int-beyond-float", "nan-session-id", "string-converged"])
     def test_not_a_report(self, small_config, tmp_path, capsys, text):
         report = tmp_path / "report.json"
         report.write_text(text)
@@ -668,6 +670,7 @@ class TestAssess:
                          str(tmp_path / "out"), "assess", str(report)])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "out").exists()
 
     def test_default_logistic(self, small_config, tmp_path):
         report = tmp_path / "report.json"
@@ -728,6 +731,25 @@ class TestGenDataAndPipeline:
         for rec in results:
             assert 0 <= rec["prob_now"] <= 1
             assert rec["tte"]["tte_step"] >= 1
+
+    def test_outputs_are_strict_json(self, tmp_path, monkeypatch):
+        # json.dump writes NaN and Infinity, which strict parsers reject
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        monkeypatch.delenv(cli.DEFAULT_CONFIG_ENV, raising=False)
+        run = tmp_path / "run"
+        assert cli.main(["--out", str(run), "pipeline"]) == 0
+        assert cli.main(["--out", str(tmp_path / "assess"), "assess",
+                         str(run / "solution_0002.json")]) == 0
+        paths = sorted(tmp_path.rglob("*.json")) \
+            + sorted(tmp_path.rglob("*.jsonl"))
+        assert len(paths) == 8  # 3 solutions and each command's files
+        for path in paths:
+            text = path.read_text()
+            for doc in text.splitlines() if path.suffix == ".jsonl" \
+                    else [text]:
+                json.loads(doc, parse_constant=reject)
 
     def test_results_record_solver_outcome(self, small_config, tmp_path):
         out = tmp_path / "run"

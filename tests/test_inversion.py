@@ -137,12 +137,12 @@ class TestGradient:
 class TestInvertRadii:
     def test_fixed_point_at_truth(self, model, pulse):
         truth = stenotic_column(model, 32, 16, 2.0, 0.2)
-        problem = make_problem(model, pulse, truth, lam=0.0,
-                               prior=truth)
-        sol = inv.invert_radii(problem)
-        assert sol.converged
-        assert sol.iterations == 0
-        assert sol.residual_norm < 1e-10
+        problem = make_problem(model, pulse, truth, lam=0.0)
+        _, _, residual, _, trials, converged = inv._levenberg_marquardt(
+            truth.copy(), 0.0, problem, inv.SolverOptions())
+        assert converged
+        assert trials == 0
+        assert np.linalg.norm(residual) < 1e-10
 
     def test_single_stenosis_recovery(self, model, pulse):
         truth = stenotic_column(model, 64, 32, 2.0, 0.2)
@@ -328,3 +328,7 @@ class TestSolverOptions:
             make_problem(model, pulse, truth, lam=-1.0)
         with pytest.raises(DomainError):
             make_problem(model, pulse, truth, bounds=(1e-2, 1e-4))
+        with pytest.raises(DomainError, match="prior must lie within bounds"):
+            make_problem(model, pulse, truth, bounds=(3e-3, 1e-2))
+        with pytest.raises(TypeError):
+            make_problem(model, pulse, truth, prior=truth)

@@ -15,9 +15,11 @@ from vasosim.hemogrid import Grid
 
 
 def make_spec(model, pulse, kind="baseline", **kwargs):
+    grid = Grid(nx=32, nt=50, dx=1e-3, dt=2e-6)
+    fs, duration = synthdata.echo_timing(pulse, grid)
     defaults = dict(
-        grid=Grid(nx=32, nt=50, dx=1e-3, dt=2e-6),
-        model=model, pulse=pulse, sessions=3, horizon=6, seed=11,
+        grid=grid, model=model, pulse=pulse, sessions=3, horizon=6, seed=11,
+        fs=fs, duration=duration,
     )
     if kind != "baseline":
         defaults.update(stenosis_center=16, stenosis_width=2.0)
@@ -188,6 +190,23 @@ class TestDatasetIO:
         data[len(data) // 2] ^= 0x01
         victim.write_bytes(bytes(data))
         with pytest.raises(CorruptionError):
+            synthdata.read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("key", ["radii_file", "echo_file"])
+    def test_unlisted_session_file_detected(self, model, pulse, tmp_path,
+                                            key):
+        # session 1 points at an altered copy that no checksum covers
+        self.make_dataset(model, pulse, tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entry = manifest["sessions"][1]
+        copy = tmp_path / ("copy_" + entry[key])
+        data = bytearray((tmp_path / entry[key]).read_bytes())
+        data[len(data) // 2] ^= 0x01
+        copy.write_bytes(bytes(data))
+        entry[key] = copy.name
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptionError, match=copy.name):
             synthdata.read_dataset(tmp_path)
 
     def test_future_version_rejected(self, model, pulse, tmp_path):
