@@ -13,17 +13,16 @@ reduction of the nondimensional viscous momentum balance
 
 The system is closed by a linear-elastic tube law mapping area to pressure.
 
-Each stencil is coded once, as a step bound to ghosted arrays whose
-first axis runs along the segment with one ghost cell at each end: the
-views, scratch arrays and constants are fixed when the step is built, so
-each call only runs ufuncs in place. The step loop is cell-major: one
-``(3, nx + 2, rows)`` buffer holds area, velocity and pressure for a stack
-of columns advanced together, it builds its steps once per run over that
-buffer, and each step overwrites it, so an array the loop yields is valid
-until the next step. :func:`step_continuity` and :func:`step_momentum`
-fill periodic or fixed ghost cells around one column and build and call
-the same steps once. Binding changes no rounding: every operation runs in
-the order the stencil is written.
+Each stencil is coded once, as a step bound to ghosted columns, which
+run along the segment with one ghost cell at each end: the views,
+scratch arrays and constants are fixed when the step is built, so each
+call only runs ufuncs in place. The step loop holds area, velocity
+and pressure in one ``(3, nx + 2)`` buffer, it builds its steps once per
+run over that buffer, and each step overwrites it, so an array the loop
+yields is valid until the next step. :func:`step_continuity` and
+:func:`step_momentum` fill periodic or fixed ghost cells around one column
+and build and call the same steps once. Binding changes no rounding: every
+operation runs in the order the stencil is written.
 """
 from __future__ import annotations
 
@@ -46,7 +45,6 @@ __all__ = [
     "step_continuity",
     "step_momentum",
     "solve_flow",
-    "final_radii",
     "write_radii_csv",
     "read_radii_csv",
 ]
@@ -68,18 +66,19 @@ class Grid:
     cfl: float = 0.5
 
     def __post_init__(self):
-        if self.nx < 2:
+        # every check is written so that NaN fails it
+        if not self.nx >= 2:
             raise DomainError(f"nx must be >= 2, got {self.nx}")
-        if self.nt < 1:
+        if not self.nt >= 1:
             raise DomainError(f"nt must be >= 1, got {self.nt}")
-        if self.dx <= 0 or self.dt <= 0:
+        if not (self.dx > 0 and self.dt > 0):
             raise DomainError("dx and dt must be positive")
         if not (0 < self.cfl <= 1):
             raise DomainError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.s_max <= 0:
+        if not self.s_max > 0:
             raise DomainError("s_max must be positive")
         limit = self.cfl * self.dx / self.s_max
-        if self.dt > limit * (1 + 1e-12):
+        if not self.dt <= limit * (1 + 1e-12):
             raise DomainError(
                 f"dt={self.dt} violates CFL bound {limit} "
                 f"(cfl={self.cfl}, dx={self.dx}, s_max={self.s_max})"
@@ -93,16 +92,17 @@ class ArteryModel:
     r0: float = 2e-3
     beta: float = 1.5e7  # gives pulse-wave speed sqrt(beta*sqrt(D0)/(2 rho)) ~ 5 m/s
     p_ext: float = 0.0
-    rho: float = 1060.0
-    mu: float = 3.5e-3
     alpha: float = 3.0
     re: float = 100.0
     c0: float = 1540.0
 
     def __post_init__(self):
-        for name in ("r0", "beta", "rho", "mu", "alpha", "re", "c0"):
-            if getattr(self, name) <= 0:
+        # written so that NaN fails each check
+        for name in ("r0", "beta", "alpha", "re", "c0"):
+            if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
+        if not np.isfinite(self.p_ext):
+            raise DomainError("p_ext must be finite")
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,12 @@ def _ghosted(bc, *columns):
     return fields
 
 
-def _scratch(shape):
+def _scratch(nx):
     """Work arrays for :func:`_momentum_step` and :func:`_continuity_step`
-    on ghosted fields of ``shape``: two floats per interface, two per cell
-    and a mask per interface."""
-    nx, rest = shape[0] - 2, shape[1:]
-    return (np.empty((nx + 1, *rest)), np.empty((nx + 1, *rest)),
-            np.empty((nx, *rest)), np.empty((nx, *rest)),
-            np.empty((nx + 1, *rest), dtype=bool))
+    on ghosted columns of ``nx`` cells: two floats per interface, two per
+    cell and a mask per interface."""
+    return (np.empty(nx + 1), np.empty(nx + 1), np.empty(nx), np.empty(nx),
+            np.empty(nx + 1, dtype=bool))
 
 
 def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
@@ -185,7 +183,7 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
     if d.shape != (grid.nx,):
         raise DomainError("state dimensions do not match grid")
     area, velocity = _ghosted(bc, d, u)
-    _continuity_step(area, velocity, grid, _scratch(area.shape))()
+    _continuity_step(area, velocity, grid, _scratch(grid.nx))()
     return FlowState(area=area[1:-1], velocity=u.copy(),
                      pressure=state.pressure.copy())
 
@@ -193,8 +191,8 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
 def _continuity_step(D, U, grid, work):
     """One step of :func:`step_continuity`, bound to ``D``, ``U`` and
     ``work``: calling it advances the area ``D[1:-1]`` in place. ``D`` and
-    ``U`` run along the segment on axis 0; their ghost cells must be filled
-    before each call. The CFL check reads max|u| over ``U[1:-1]``."""
+    ``U`` are ghosted columns whose ghost cells must be filled before each
+    call. The CFL check reads max|u| over ``U[1:-1]``."""
     uh, flux, dflux, _, upwind = work
     u, u_l, u_r = U[1:-1], U[:-1], U[1:]
     d, d_l, d_r = D[1:-1], D[:-1], D[1:]
@@ -253,7 +251,7 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
     _check_diffusion(grid, model)
     velocity, pressure = _ghosted(bc, u, p)
     _momentum_step(velocity, pressure, grid, model,
-                   _scratch(velocity.shape))(_abs_max(u))
+                   _scratch(grid.nx))(_abs_max(u))
     return FlowState(area=state.area.copy(), velocity=velocity[1:-1],
                      pressure=p.copy())
 
@@ -261,8 +259,8 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
 def _momentum_step(U, P, grid, model, work):
     """One step of :func:`step_momentum`, bound to ``U``, ``P`` and
     ``work``: calling it with ``u_max``, max|u| over every cell, advances
-    the velocity ``U[1:-1]`` in place. ``U`` and ``P`` run along the
-    segment on axis 0; their ghost cells must be filled before each call.
+    the velocity ``U[1:-1]`` in place. ``U`` and ``P`` are ghosted columns
+    whose ghost cells must be filled before each call.
     ``u_max`` is for the advective Courant check; the diffusion bound is
     the caller's (:func:`_check_diffusion`)."""
     scale = model.re / model.alpha**2
@@ -334,44 +332,23 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet, initial_radii=None):
         raise DomainError("initial radii length must equal grid.nx")
     radii = np.empty((grid.nx, grid.nt))
     states = []
-    for j, fields in enumerate(
-            _flow(model, grid, initial_radii[None], inlet)):
-        # the loop reuses its buffers, so each step's one column is copied
-        area, velocity, pressure = (f[:, 0].copy() for f in fields)
+    for j, fields in enumerate(_flow(model, grid, initial_radii, inlet)):
+        # the loop reuses its buffer, so each step's fields are copied
+        area, velocity, pressure = (f.copy() for f in fields)
         radii[:, j] = np.sqrt(area / np.pi)
         states.append(FlowState(area=area, velocity=velocity,
                                 pressure=pressure))
     return RadiiField(values=radii, grid=grid), states
 
 
-def final_radii(model: ArteryModel, grid: Grid, initial_radii, inlet):
-    """Radii after ``grid.nt - 1`` steps of :func:`solve_flow`, for a
-    ``(rows, nx)`` stack of initial columns advanced together.
-
-    Row i equals ``solve_flow(..., initial_radii=initial_radii[i])``'s last
-    column bit for bit, and every row is driven by the same ``inlet``. No
-    per-step state is kept. A failing step raises SimulationError naming
-    that step, as :func:`solve_flow` does. The result is a C-contiguous
-    ``(rows, nx)`` array.
-    """
-    initial_radii = np.asarray(initial_radii, dtype=float)
-    if initial_radii.ndim != 2 or initial_radii.shape[1] != grid.nx:
-        raise DomainError("initial radii must be a (rows, grid.nx) stack")
-    for area, _, _ in _flow(model, grid, initial_radii, inlet):
-        pass
-    return np.sqrt(area / np.pi).T.copy()
-
-
 def _flow(model, grid, initial_radii, inlet):
-    """The one step loop, on a ``(rows, nx)`` stack of initial columns.
+    """The one step loop, from one initial radii column.
 
-    The fields are cell-major: one ``(3, nx + 2, rows)`` buffer holds
-    area, velocity and pressure with cells on axis 1 and the stacked rows
-    on axis 2, and one ghost cell at each end of the segment. Each step
-    advances it in place and yields the ``(nx, rows)`` views (area,
-    velocity, pressure) of its interior, after that step's checks, for
-    each of the nt time indices. A yielded array is valid until the next
-    step.
+    One ``(3, nx + 2)`` buffer holds area, velocity and pressure, with
+    one ghost cell at each end of the segment. Each step advances it in
+    place and yields the ``(nx,)`` views (area, velocity, pressure) of its
+    interior, after that step's checks, for each of the nt time indices.
+    A yielded array is valid until the next step.
 
     The momentum and continuity steps and every view, scratch array,
     constant and ufunc a step uses are bound once per run, so each step
@@ -380,35 +357,36 @@ def _flow(model, grid, initial_radii, inlet):
     """
     if not np.all(initial_radii > 0):
         raise DomainError("radii must be positive")
-    fields = np.zeros((3, grid.nx + 2, len(initial_radii)))
+    fields = np.zeros((3, grid.nx + 2))
     area, velocity, pressure = fields
     d, u, p = fields[:, 1:-1]
     # the initial column doubles as the rest geometry of the wall closure,
-    # so every initial state is an equilibrium under zero forcing
-    sqrt_d_rest = np.ascontiguousarray(np.sqrt(np.pi) * initial_radii.T)
-    d[:] = (np.pi * initial_radii**2).T
+    # so the initial state is an equilibrium under zero forcing
+    sqrt_d_rest = np.sqrt(np.pi) * initial_radii
+    d[:] = np.pi * initial_radii**2
 
     waveform = np.asarray(inlet, dtype=float)
     if waveform.shape != (grid.nt,):
         raise DomainError("inlet waveform length must equal nt")
     # the inlet cell is driven through the wall closure, so its area at
     # every step, and the first step whose root collapses it, are known
-    roots = sqrt_d_rest[0] + (waveform / model.beta)[:, None]
-    collapsed = np.flatnonzero((roots <= 0).any(axis=1))
+    roots = sqrt_d_rest[0] + waveform / model.beta
+    collapsed = np.flatnonzero(roots <= 0)
     collapse_step = collapsed[0] if collapsed.size else grid.nt
     inlet_area = roots * roots
     inlet_pressure = model.p_ext + waveform
 
-    work = _scratch(fields.shape[1:])
+    work = _scratch(grid.nx)
     momentum = _momentum_step(velocity, pressure, grid, model, work)
     continuity = _continuity_step(area, velocity, grid, work)
     # every view, scratch array, constant and ufunc a step uses
     interior, lo, hi = fields[:2, 1:-1], np.empty(2), np.empty(2)
     outlet, before_outlet = fields[:2, -2], fields[:2, -3]
     ghost_l, edge_l, ghost_r, edge_r = (fields[:, i] for i in (0, 1, -1, -2))
+    # one-cell slices, which are views where an index would give a scalar
     u_ghost_l, u_edge_l, u_ghost_r, u_edge_r = (
-        ghost_l[1], edge_l[1], ghost_r[1], edge_r[1])
-    d_in, p_in, p_out, p_before_out = d[0], p[0], p[-1], p[-2]
+        velocity[:1], velocity[1:2], velocity[-1:], velocity[-2:-1])
+    d_in, p_in, p_out, p_before_out = d[:1], p[:1], p[-1:], p[-2:-1]
     beta, p_ext, inf = np.array(model.beta), np.array(model.p_ext), np.inf
     sqrt, subtract, multiply, add, copyto = (np.sqrt, np.subtract,
                                              np.multiply, np.add, np.copyto)
@@ -424,8 +402,8 @@ def _flow(model, grid, initial_radii, inlet):
         copyto(outlet, before_outlet)  # zero-gradient outlet area, velocity
         # the step's one area check, which the tube law and the radii rely
         # on; written so that NaN fails it
-        minimum(interior, (1, 2), None, lo)
-        maximum(interior, (1, 2), None, hi)
+        minimum(interior, 1, None, lo)
+        maximum(interior, 1, None, hi)
         (d_lo, u_lo), (d_hi, u_hi) = lo.tolist(), hi.tolist()
         if not (0 < d_lo and d_hi < inf and -inf < u_lo and u_hi < inf):
             raise SimulationError(f"solver diverged at step {j}", step_index=j)

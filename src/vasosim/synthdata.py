@@ -1,11 +1,10 @@
 """Deterministic synthetic scenario generation and dataset I/O.
 
 Scenarios build ground-truth radii columns (baseline, static stenosis, or
-a stenosis deepening linearly across sessions), perturb them all together
-with one short pulsatile flow run (:func:`hemogrid.final_radii`, which
-keeps only the final radii), synthesize noisy echoes, and label each
-session with the binary episode indicator. All randomness derives from one
-seed plus the session index, so session ordering never changes content.
+a stenosis deepening linearly across sessions), synthesize noisy echoes
+from them, and label each session with the binary episode indicator. All
+randomness derives from one seed plus the session index, so session
+ordering never changes content.
 """
 from __future__ import annotations
 
@@ -54,7 +53,6 @@ class ScenarioSpec:
     sessions: int = 1
     horizon: int = 24
     occlusion_threshold: float = 0.6
-    perturbation_pa: float = 10.0
 
     def __post_init__(self):
         check_scenario(self.kind, self.severity, self.sessions,
@@ -133,17 +131,6 @@ def _label_from_radii(radii, spec: ScenarioSpec):
 
 def generate_scenario(spec: ScenarioSpec):
     """Build the labeled sessions for one scenario; pure function of spec."""
-    g = spec.grid
-    depths = [_dip_depth(spec, s) for s in range(spec.sessions)]
-    # one short pulsatile run for all sessions, each starting from its
-    # stenotic geometry; the final radii carry the physiological perturbation
-    period = g.nt * g.dt
-    inlet = spec.perturbation_pa * np.sin(2 * np.pi * np.arange(g.nt) * g.dt / period)
-    truths = hemogrid.final_radii(
-        spec.model, g, np.array([_truth_column(spec, d) for d in depths]),
-        inlet=inlet)
-    # every session's radii_truth is a row of this one read-only block
-    truths.setflags(write=False)
     # future labels follow the depth trend, capped below full occlusion
     if spec.kind == "progressive-occlusion" and spec.sessions > 1:
         increment = spec.severity / (spec.sessions - 1)
@@ -151,7 +138,9 @@ def generate_scenario(spec: ScenarioSpec):
         increment = 0.0
     steps = np.arange(1, spec.horizon + 1)
     sessions = []
-    for s, (depth, truth) in enumerate(zip(depths, truths)):
+    for s in range(spec.sessions):
+        depth = _dip_depth(spec, s)
+        truth = _truth_column(spec, depth)
         clean = acoustics.synthesize_echo(truth, spec.pulse, spec.grid,
                                           spec.model, fs=spec.fs,
                                           duration=spec.duration)

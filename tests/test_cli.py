@@ -47,13 +47,13 @@ PINNED_PIPELINE = {
 }
 PINNED_PIPELINE_DIGESTS = {
     "results.json":
-        "30173d7f572ccd954b5fa7a739591da66e63fbf7db2b913b80339ec032c310f4",
+        "0d929968d2981a99f35fe5b4540e950778e4e84964784d5e4a65690615ea7482",
     "alerts.jsonl":
-        "f8f1a27de26d883f46c480b99a122ca2c8bef70f80fbb81ad2ea1d9298a6ac46",
+        "ee0d0bff7c7b21bc9ef4371794bff76bbd241c1dcf28ec9bd390a265508750e9",
     "solution_0000.json":
-        "0c70194a3ed81004bb7d62e3a8105cdcaa8847ef5f6aad183b7afaefa2d68de4",
+        "6aa36d68cab66596c634aee3f7cf9a5d335bdc785fcb1af7736b2d510f613e7d",
     "solution_0001.json":
-        "292703456749edd45a40f31ff7b53118202b4636f2fed57aff0c58cd81e37e2d",
+        "4f43324739e7c2c498e87a3211486e61dbf7a206ae581eada7f4bcc78a31726c",
 }
 
 
@@ -904,8 +904,11 @@ class TestGenDataAndPipeline:
                     for name in checksums} == checksums
 
     def test_alerts_are_the_written_records(self, tmp_path):
+        # at severity 0.7 the deepest session alerts; at 0.5 the default
+        # weights leave its label-1 session at "info"
         cfg = cli.load_config(write_config(tmp_path / "cfg.ini", {
-            **SMALL, "scenario": {**SMALL["scenario"], "sessions": 3}}))
+            **SMALL, "scenario": {**SMALL["scenario"], "sessions": 3,
+                                  "severity": 0.7}}))
         out = tmp_path / "run"
         _, results = cli.cmd_pipeline(cfg, str(out))
         alerts = [json.loads(line) for line in

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from vasosim import cli, hemogrid, synthdata
+from vasosim import acoustics, cli, synthdata
 from vasosim.errors import (
     ConfigurationError,
     CorruptionError,
@@ -46,13 +46,12 @@ class TestGenerateScenario:
             assert np.all(sess.future_labels == 0)
 
     def test_baseline_echo_is_noise_scale(self, model, pulse):
-        # uniform geometry reflects nothing, so the trace is pure noise at
-        # the fallback scale of 1% of the incident amplitude
-        # no flow perturbation: geometry stays exactly uniform, the clean
-        # echo is identically zero, and noise falls back to 1% of the
-        # incident amplitude; long trace so the RMS concentrates
+        # uniform geometry reflects nothing, so the clean echo is
+        # identically zero and the trace is pure noise at the fallback
+        # scale of 1% of the incident amplitude; long trace so the RMS
+        # concentrates
         spec = make_spec(model, pulse, noise_rms=1.0, sessions=1,
-                         duration=2e-3, perturbation_pa=0.0)
+                         duration=2e-3)
         sess = synthdata.generate_scenario(spec)[0]
         rms = np.sqrt(np.mean(sess.echo.samples**2))
         assert rms == pytest.approx(0.01 * pulse.amp_forward, rel=0.1)
@@ -120,18 +119,27 @@ class TestGenerateScenario:
 
     @pytest.mark.parametrize("kind", ["static-stenosis",
                                       "progressive-occlusion"])
-    def test_truth_matches_one_flow_run_per_session(self, model, pulse, kind):
-        # the reference: each session's own solve_flow run, last column
-        spec = make_spec(model, pulse, kind=kind, severity=0.5, sessions=4)
-        g = spec.grid
-        inlet = spec.perturbation_pa * np.sin(
-            2 * np.pi * np.arange(g.nt) * g.dt / (g.nt * g.dt))
+    def test_truth_is_the_scenario_column(self, model, pulse, kind):
+        spec = make_spec(model, pulse, kind=kind, severity=0.5, sessions=4,
+                         noise_rms=0.05)
         for sess in synthdata.generate_scenario(spec):
-            initial = synthdata._truth_column(
-                spec, synthdata._dip_depth(spec, sess.session_index))
-            radii, _ = hemogrid.solve_flow(model, g, inlet=inlet,
-                                           initial_radii=initial)
-            assert sess.radii_truth.tobytes() == radii.column(-1).tobytes()
+            depth = synthdata._dip_depth(spec, sess.session_index)
+            truth = synthdata._truth_column(spec, depth)
+            assert sess.radii_truth.tobytes() == truth.tobytes()
+            if depth == 0:
+                # a uniform column reflects nothing, so the echo is noise
+                # alone, drawn at 1% of the incident amplitude
+                clean = acoustics.synthesize_echo(
+                    truth, pulse, spec.grid, model, fs=spec.fs,
+                    duration=spec.duration)
+                assert not clean.samples.any()
+                rng = np.random.default_rng([spec.seed, sess.session_index])
+                noise = rng.normal(0.0, 0.05 * 0.01 * pulse.amp_forward,
+                                   clean.samples.size)
+                assert sess.echo.samples.tobytes() == \
+                    (clean.samples + noise).tobytes()
+        depths = [synthdata._dip_depth(spec, s) for s in range(4)]
+        assert (0.0 in depths) == (kind == "progressive-occlusion")
 
     def test_radii_truth_rows_independent(self, model, pulse):
         spec = make_spec(model, pulse, kind="progressive-occlusion",
@@ -249,15 +257,15 @@ PINNED_OVERRIDES = {
 }
 PINNED_DIGESTS = {
     "manifest.json":
-        "4da94721912aeb7ed2dafade5c300f2ee2e427df560b30c6ca2721342bd16dd1",
+        "36bb123b4b7b738f7429422c60aa13f9d401bccecbbf1dc22ac94dfdbd262ea2",
     "session_0000_echo.csv":
-        "ae0b132a0217c790f1119025e4c7c5c43667a8c607002faa04940c91cc58a9e3",
+        "51641e1e0e17aac2825110451b64c97c9f7a8e7bc70803f0067ff27cc6f62977",
     "session_0000_radii.csv":
-        "4a9eae1282c1a048cd31d272ce5424dc9291f0339a869a6670c6b7b4718a6849",
+        "4e98d1b6359647b1f6f9e4e8fef85fb58a0802265dff6f9379c15c960b5ff99e",
     "session_0001_echo.csv":
-        "1bcb9d0f347aa889f3ffc55e58ded2e58df26418c7eb0827607d095db759110d",
+        "b885bbfc3767be815258d962ed0d3894954b09e7984b695df7445063384ede85",
     "session_0001_radii.csv":
-        "8c78d1a96a33338193f1794dbc83cc4083beb6548169fd4d38a3b24f0e2ee79c",
+        "5c2ee77342c67a1f417e4c2829b17cecea32f25bf2e5a486046452d93c59a808",
 }
 
 
@@ -271,23 +279,22 @@ def test_gen_data_bytes_pinned(tmp_path, monkeypatch):
 
 
 # The same for the default config (no INI: three progressive-occlusion
-# sessions, nx=64, nt=200) and seed 0, recorded before gen-data ran all
-# sessions as one flow.
+# sessions, nx=64, nt=200) and seed 0.
 DEFAULT_DIGESTS = {
     "manifest.json":
-        "7a2de0f64ff573a6361e79c9dc6fec009a7ffb54dfac5175d252146dec174f0b",
+        "ea2d287c5441e0bfe5a716090f62afd245f8924071892dc876b3969003734afb",
     "session_0000_echo.csv":
-        "7d1bbc18c80b26b7d0cd3418667fb51c70f3d428d182eb8afeb3cd6e4f9667c3",
+        "c84ae906b5da05d826b1caa2486eb054b7969d731950fd14581d5bb7a58c09a1",
     "session_0000_radii.csv":
-        "1959a273f1fc8f3939b876a5010c393e6a5b0989650dfdce888b1e8c0e86966f",
+        "1e0960ceeabd5d1c25660d8a121789a11972d4452eb6f8a835438d990907f113",
     "session_0001_echo.csv":
-        "04f3cf66f540499a89404078eff612624735c9b6b1124ed0119670e6cf560f9b",
+        "abc88da69d0a4c80a7dd4095c738ad53e5a0b157f263c88b79ab3c7a15aed5b8",
     "session_0001_radii.csv":
-        "418af99822e79183f3532a715ffe9612b998958ef40cf961401f0a17be8325b3",
+        "6032719f513895a70897e7ce0338e25a12d7914e6e6755f8c18cd5054f5e1841",
     "session_0002_echo.csv":
-        "c5de02e4110860aff8671e1c48847549683a2c171c96d06458aeb6704bfa7d24",
+        "a7c6fcd31c712c856ee051c1ce1f126f86576bae05294557aa456fe3413ef664",
     "session_0002_radii.csv":
-        "21f7c76826b2077aaf4ac68c2694eee7ca4fa5cae07467289f9084a13535c49d",
+        "5202a36c0631c83e6409b0bd75e0de2fb644f85c4e2ec6c2e2cb746540198794",
 }
 
 
