@@ -311,9 +311,9 @@ def _report(cfg: RunConfig, record):
     if "radii_m" in record:
         radii = record["radii_m"]
         if not (isinstance(radii, list) and radii
-                and all(map(_is_number, radii))):
+                and all(_is_number(r) and r > 0 for r in radii)):
             raise ConfigurationError(
-                "radii_m must be a nonempty list of numbers")
+                "radii_m must be a nonempty list of positive numbers")
         radii = np.asarray(radii, dtype=float)
         stenosis = float(np.clip(1.0 - np.min(radii) / cfg.model.r0, 0.0, 1.0))
     else:

@@ -13,16 +13,21 @@ reduction of the nondimensional viscous momentum balance
 
 The system is closed by a linear-elastic tube law mapping area to pressure.
 
-Each stencil is coded once, as a step bound to ghosted columns, which
-run along the segment with one ghost cell at each end: the views,
-scratch arrays and constants are fixed when the step is built, so each
-call only runs ufuncs in place. The step loop holds area, velocity
-and pressure in one ``(3, nx + 2)`` buffer, it builds its steps once per
-run over that buffer, and each step overwrites it, so an array the loop
-yields is valid until the next step. :func:`step_continuity` and
-:func:`step_momentum` fill periodic or fixed ghost cells around one column
-and build and call the same steps once. Binding changes no rounding: every
-operation runs in the order the stencil is written.
+Each stencil is coded once, as a plain NumPy expression on ghosted
+columns, which run along the segment with one ghost cell at each end:
+:func:`_continuity` returns the new interior area and :func:`_momentum`
+the new interior velocity, each after its stability checks.
+:func:`step_continuity` and :func:`step_momentum` ghost one column with
+periodic or fixed ends; :func:`solve_flow`'s loop ghosts its fields with
+fixed ends at every step. Each step makes fresh arrays, so the recorded
+states share no memory. Every operation rounds in the order its stencil
+is written: the upwind flux as ``where(uh >= 0, d_l, d_r) * uh`` with
+``uh = (u_l + u_r) * 0.5``, the area as ``d - (flux_r - flux_l) *
+(dt/dx)``, the momentum right-hand side as ``((u_p - 2u) + u_m) / dx**2 *
+(1/Re) - dpdx``, less ``where(u >= 0, backward, forward) / dx * u``, the
+velocity as ``u + rhs * (dt*Re/alpha**2)``, and the tube law as
+``(sqrt(D) - sqrt(D_rest)) * beta + p_ext``. The pinned outputs rely on
+that order.
 """
 from __future__ import annotations
 
@@ -146,29 +151,12 @@ class FlowState:
             raise DomainError("area values must be positive")
 
 
-def _abs_max(u):
-    """max|u| from one min/max pair; NaN gives NaN, as np.abs(u).max()
-    does."""
-    return max(np.maximum.reduce(u, None), -np.minimum.reduce(u, None))
-
-
-def _ghosted(bc, *columns):
-    """The 1-D ``columns`` stacked, each with one ghost cell at each end:
-    wrapped round for ``bc == "periodic"``, otherwise a copy of the edge
-    cell (zero gradient)."""
-    fields = np.empty((len(columns), columns[0].size + 2))
-    fields[:, 1:-1] = columns
-    left, right = (-2, 1) if bc == "periodic" else (1, -2)
-    fields[:, 0], fields[:, -1] = fields[:, left], fields[:, right]
-    return fields
-
-
-def _scratch(nx):
-    """Work arrays for :func:`_momentum_step` and :func:`_continuity_step`
-    on ghosted columns of ``nx`` cells: two floats per interface, two per
-    cell and a mask per interface."""
-    return (np.empty(nx + 1), np.empty(nx + 1), np.empty(nx), np.empty(nx),
-            np.empty(nx + 1, dtype=bool))
+def _ghost(a, bc):
+    """Column ``a`` with one ghost cell at each end: wrapped round for
+    ``bc == "periodic"``, otherwise a copy of the edge cell (zero
+    gradient)."""
+    left, right = (a[-1:], a[:1]) if bc == "periodic" else (a[:1], a[-1:])
+    return np.concatenate((left, a, right))
 
 
 def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
@@ -182,58 +170,22 @@ def step_continuity(state: FlowState, grid: Grid, bc="periodic"):
     d, u = state.area, state.velocity
     if d.shape != (grid.nx,):
         raise DomainError("state dimensions do not match grid")
-    area, velocity = _ghosted(bc, d, u)
-    _continuity_step(area, velocity, grid, _scratch(grid.nx))()
-    return FlowState(area=area[1:-1], velocity=u.copy(),
-                     pressure=state.pressure.copy())
+    return FlowState(area=_continuity(_ghost(d, bc), _ghost(u, bc), grid),
+                     velocity=u.copy(), pressure=state.pressure.copy())
 
 
-def _continuity_step(D, U, grid, work):
-    """One step of :func:`step_continuity`, bound to ``D``, ``U`` and
-    ``work``: calling it advances the area ``D[1:-1]`` in place. ``D`` and
-    ``U`` are ghosted columns whose ghost cells must be filled before each
-    call. The CFL check reads max|u| over ``U[1:-1]``."""
-    uh, flux, dflux, _, upwind = work
-    u, u_l, u_r = U[1:-1], U[:-1], U[1:]
-    d, d_l, d_r = D[1:-1], D[:-1], D[1:]
-    flux_l, flux_r = flux[:-1], flux[1:]
-    # the constants as 0-d float64 arrays, which a ufunc takes faster than
-    # Python floats, each rounded as in the expression it stands for
-    half, zero, dt_dx = map(np.array, (0.5, 0.0, grid.dt / grid.dx))
-    add, subtract, multiply = np.add, np.subtract, np.multiply
-    greater_equal, copyto = np.greater_equal, np.copyto
-
-    def step():
-        courant = _abs_max(u) * grid.dt / grid.dx
-        if courant > 1:
-            raise StabilityError(
-                f"continuity CFL violated: |u|dt/dx = {courant:.3g} > 1")
-        # upwind flux of F = u*D at the nx+1 cell interfaces: pick the
-        # upwind cell's area, then multiply; as in _momentum_step, the
-        # operations keep the order of d - (dt/dx)*(flux_r - flux_l) with
-        # flux = (0.5*(u_l + u_r))*D
-        add(u_l, u_r, uh)
-        multiply(uh, half, uh)
-        greater_equal(uh, zero, upwind)
-        copyto(flux, d_r)
-        copyto(flux, d_l, where=upwind)
-        multiply(flux, uh, flux)
-        subtract(flux_r, flux_l, dflux)
-        multiply(dflux, dt_dx, dflux)
-        subtract(d, dflux, d)
-
-    return step
-
-
-def _check_diffusion(grid, model):
-    """StabilityError if the grid breaks the momentum step's explicit
-    diffusion bound."""
-    nu_eff = 1.0 / model.alpha**2  # (Re/alpha^2) * (1/Re)
-    diff_number = nu_eff * grid.dt / grid.dx**2
-    if diff_number > 0.5:
+def _continuity(d, u, grid):
+    """The new interior area from the ghosted area and velocity columns
+    ``d`` and ``u``, after the CFL check on the interior velocity."""
+    courant = np.abs(u[1:-1]).max() * grid.dt / grid.dx
+    if courant > 1:
         raise StabilityError(
-            f"momentum diffusion number {diff_number:.3g} exceeds 0.5"
-        )
+            f"continuity CFL violated: |u|dt/dx = {courant:.3g} > 1")
+    # upwind flux F = u*D at the nx+1 cell interfaces; every operation
+    # rounds in the order written, which the pinned outputs rely on
+    uh = (u[:-1] + u[1:]) * 0.5
+    flux = np.where(uh >= 0, d[:-1], d[1:]) * uh
+    return d[1:-1] - (flux[1:] - flux[:-1]) * (grid.dt / grid.dx)
 
 
 def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
@@ -248,64 +200,33 @@ def step_momentum(state: FlowState, grid: Grid, model: ArteryModel,
     u, p = state.velocity, state.pressure
     if u.shape != (grid.nx,):
         raise DomainError("state dimensions do not match grid")
-    _check_diffusion(grid, model)
-    velocity, pressure = _ghosted(bc, u, p)
-    _momentum_step(velocity, pressure, grid, model,
-                   _scratch(grid.nx))(_abs_max(u))
-    return FlowState(area=state.area.copy(), velocity=velocity[1:-1],
+    return FlowState(area=state.area.copy(),
+                     velocity=_momentum(_ghost(u, bc), _ghost(p, bc), grid,
+                                        model),
                      pressure=p.copy())
 
 
-def _momentum_step(U, P, grid, model, work):
-    """One step of :func:`step_momentum`, bound to ``U``, ``P`` and
-    ``work``: calling it with ``u_max``, max|u| over every cell, advances
-    the velocity ``U[1:-1]`` in place. ``U`` and ``P`` are ghosted columns
-    whose ghost cells must be filled before each call.
-    ``u_max`` is for the advective Courant check; the diffusion bound is
-    the caller's (:func:`_check_diffusion`)."""
+def _momentum(u, p, grid, model):
+    """The new interior velocity from the ghosted velocity and pressure
+    columns ``u`` and ``p``, after the explicit diffusion bound and the
+    advective Courant check on the interior velocity."""
+    nu_eff = 1.0 / model.alpha**2  # (Re/alpha^2) * (1/Re)
+    diff_number = nu_eff * grid.dt / grid.dx**2
+    if diff_number > 0.5:
+        raise StabilityError(
+            f"momentum diffusion number {diff_number:.3g} exceeds 0.5")
     scale = model.re / model.alpha**2
-    du, _, dpdx, rhs, upwind = work
-    upwind = upwind[:-1]
-    u, u_p, u_m, p_p, p_m = U[1:-1], U[2:], U[:-2], P[2:], P[:-2]
-    du_r, du_l, u_r, u_l = du[1:], du[:-1], U[1:], U[:-1]
-    # 0-d float64 constants, as in _continuity_step
-    two, zero, two_dx, dx, dx2, inv_re, gain = map(np.array, (
-        2.0, 0.0, 2 * grid.dx, grid.dx, grid.dx**2, 1.0 / model.re,
-        grid.dt * scale))
-    add, subtract, multiply, divide = (np.add, np.subtract, np.multiply,
-                                       np.true_divide)
-    greater_equal, copyto = np.greater_equal, np.copyto
-
-    def step(u_max):
-        adv_courant = scale * u_max * grid.dt / grid.dx
-        if adv_courant > 1:
-            raise StabilityError(
-                f"momentum advective Courant number {adv_courant:.3g} "
-                "exceeds 1")
-        # u + dt*scale*(-dp/dx + (1/Re)*(u_p - 2u + u_m)/dx^2 - u*du/dx),
-        # each operation rounded in the order written: the pinned outputs
-        # rely on it
-        subtract(p_p, p_m, dpdx)
-        divide(dpdx, two_dx, dpdx)
-        multiply(u, two, rhs)
-        subtract(u_p, rhs, rhs)
-        add(rhs, u_m, rhs)
-        divide(rhs, dx2, rhs)
-        multiply(rhs, inv_re, rhs)
-        subtract(rhs, dpdx, rhs)
-        # du[i] is cell i's backward difference and cell i-1's forward
-        # one: pick the upwind difference, then divide
-        subtract(u_r, u_l, du)
-        greater_equal(u, zero, upwind)
-        copyto(dpdx, du_r)
-        copyto(dpdx, du_l, where=upwind)
-        divide(dpdx, dx, dpdx)
-        multiply(dpdx, u, dpdx)
-        subtract(rhs, dpdx, rhs)
-        multiply(rhs, gain, rhs)
-        add(u, rhs, u)
-
-    return step
+    u_m, u_c, u_p = u[:-2], u[1:-1], u[2:]
+    adv_courant = scale * np.abs(u_c).max() * grid.dt / grid.dx
+    if adv_courant > 1:
+        raise StabilityError(
+            f"momentum advective Courant number {adv_courant:.3g} exceeds 1")
+    # u + dt*scale*(-dp/dx + (1/Re)*(u_p - 2u + u_m)/dx^2 - u*du/dx), each
+    # operation rounded in the order written, with the upwind difference
+    dpdx = (p[2:] - p[:-2]) / (2 * grid.dx)
+    rhs = (u_p - 2.0 * u_c + u_m) / grid.dx**2 * (1.0 / model.re) - dpdx
+    rhs = rhs - np.where(u_c >= 0, u_c - u_m, u_p - u_c) / grid.dx * u_c
+    return u_c + rhs * (grid.dt * scale)
 
 
 def solve_flow(model: ArteryModel, grid: Grid, inlet, initial_radii=None):
@@ -323,114 +244,56 @@ def solve_flow(model: ArteryModel, grid: Grid, inlet, initial_radii=None):
     (RadiiField, list[FlowState])
         Radii history with column j the state after j steps, and the
         per-step flow states (the list has nt entries, index 0 initial).
-        Each state holds its own copies of the step's fields.
+        Each state holds its own arrays.
     """
     if initial_radii is None:
         initial_radii = np.full(grid.nx, model.r0)
     initial_radii = np.asarray(initial_radii, dtype=float)
     if initial_radii.shape != (grid.nx,):
         raise DomainError("initial radii length must equal grid.nx")
-    radii = np.empty((grid.nx, grid.nt))
-    states = []
-    for j, fields in enumerate(_flow(model, grid, initial_radii, inlet)):
-        # the loop reuses its buffer, so each step's fields are copied
-        area, velocity, pressure = (f.copy() for f in fields)
-        radii[:, j] = np.sqrt(area / np.pi)
-        states.append(FlowState(area=area, velocity=velocity,
-                                pressure=pressure))
-    return RadiiField(values=radii, grid=grid), states
-
-
-def _flow(model, grid, initial_radii, inlet):
-    """The one step loop, from one initial radii column.
-
-    One ``(3, nx + 2)`` buffer holds area, velocity and pressure, with
-    one ghost cell at each end of the segment. Each step advances it in
-    place and yields the ``(nx,)`` views (area, velocity, pressure) of its
-    interior, after that step's checks, for each of the nt time indices.
-    A yielded array is valid until the next step.
-
-    The momentum and continuity steps and every view, scratch array,
-    constant and ufunc a step uses are bound once per run, so each step
-    only calls ufuncs on fixed arrays and allocates none. Every operation
-    still rounds in the order its stencil is written.
-    """
     if not np.all(initial_radii > 0):
         raise DomainError("radii must be positive")
-    fields = np.zeros((3, grid.nx + 2))
-    area, velocity, pressure = fields
-    d, u, p = fields[:, 1:-1]
-    # the initial column doubles as the rest geometry of the wall closure,
-    # so the initial state is an equilibrium under zero forcing
-    sqrt_d_rest = np.sqrt(np.pi) * initial_radii
-    d[:] = np.pi * initial_radii**2
-
     waveform = np.asarray(inlet, dtype=float)
     if waveform.shape != (grid.nt,):
         raise DomainError("inlet waveform length must equal nt")
+    # the initial column doubles as the rest geometry of the wall closure,
+    # so the initial state is an equilibrium under zero forcing
+    sqrt_d_rest = np.sqrt(np.pi) * initial_radii
     # the inlet cell is driven through the wall closure, so its area at
-    # every step, and the first step whose root collapses it, are known
+    # every step is known; a root <= 0 collapses it
     roots = sqrt_d_rest[0] + waveform / model.beta
-    collapsed = np.flatnonzero(roots <= 0)
-    collapse_step = collapsed[0] if collapsed.size else grid.nt
     inlet_area = roots * roots
     inlet_pressure = model.p_ext + waveform
 
-    work = _scratch(grid.nx)
-    momentum = _momentum_step(velocity, pressure, grid, model, work)
-    continuity = _continuity_step(area, velocity, grid, work)
-    # every view, scratch array, constant and ufunc a step uses
-    interior, lo, hi = fields[:2, 1:-1], np.empty(2), np.empty(2)
-    outlet, before_outlet = fields[:2, -2], fields[:2, -3]
-    ghost_l, edge_l, ghost_r, edge_r = (fields[:, i] for i in (0, 1, -1, -2))
-    # one-cell slices, which are views where an index would give a scalar
-    u_ghost_l, u_edge_l, u_ghost_r, u_edge_r = (
-        velocity[:1], velocity[1:2], velocity[-1:], velocity[-2:-1])
-    d_in, p_in, p_out, p_before_out = d[:1], p[:1], p[-1:], p[-2:-1]
-    beta, p_ext, inf = np.array(model.beta), np.array(model.p_ext), np.inf
-    sqrt, subtract, multiply, add, copyto = (np.sqrt, np.subtract,
-                                             np.multiply, np.add, np.copyto)
-    minimum, maximum = np.minimum.reduce, np.maximum.reduce
-    last = grid.nt - 1
-
-    for j, (inlet_d, inlet_p) in enumerate(zip(inlet_area, inlet_pressure)):
-        if j == collapse_step:
+    d, u = np.pi * initial_radii**2, np.zeros(grid.nx)
+    radii = np.empty((grid.nx, grid.nt))
+    states = []
+    for j in range(grid.nt):
+        if roots[j] <= 0:
             raise SimulationError(
                 f"inlet pressure collapses the lumen at step {j}",
                 step_index=j)
-        copyto(d_in, inlet_d)
-        copyto(outlet, before_outlet)  # zero-gradient outlet area, velocity
+        d[0] = inlet_area[j]
+        d[-1], u[-1] = d[-2], u[-2]  # zero-gradient outlet
         # the step's one area check, which the tube law and the radii rely
         # on; written so that NaN fails it
-        minimum(interior, 1, None, lo)
-        maximum(interior, 1, None, hi)
-        (d_lo, u_lo), (d_hi, u_hi) = lo.tolist(), hi.tolist()
-        if not (0 < d_lo and d_hi < inf and -inf < u_lo and u_hi < inf):
+        if not (0 < d.min() and d.max() < np.inf and np.isfinite(u).all()):
             raise SimulationError(f"solver diverged at step {j}", step_index=j)
         # the linear-elastic tube law p = p_ext + beta*(sqrt(D) - sqrt(D_rest))
-        sqrt(d, p)
-        subtract(p, sqrt_d_rest, p)
-        multiply(p, beta, p)
-        add(p, p_ext, p)
-        copyto(p_in, inlet_p)
-        copyto(p_out, p_before_out)
-        yield d, u, p
-        if j == last:
+        p = (np.sqrt(d) - sqrt_d_rest) * model.beta + model.p_ext
+        p[0] = inlet_pressure[j]
+        p[-1] = p[-2]
+        radii[:, j] = np.sqrt(d / np.pi)
+        states.append(FlowState(area=d, velocity=u, pressure=p))
+        if j == grid.nt - 1:
             break
-        # fixed ends: every ghost copies its edge cell
-        copyto(ghost_l, edge_l)
-        copyto(ghost_r, edge_r)
-        try:
-            if j == 0:  # the diffusion number depends on the grid alone
-                _check_diffusion(grid, model)
-            momentum(max(u_hi, -u_lo))
-            # the new velocity's ghosts, for the continuity fluxes
-            copyto(u_ghost_l, u_edge_l)
-            copyto(u_ghost_r, u_edge_r)
-            continuity()
+        try:  # fixed ends: every ghost copies its edge cell
+            u = _momentum(_ghost(u, "fixed"), _ghost(p, "fixed"), grid, model)
+            d = _continuity(_ghost(d, "fixed"), _ghost(u, "fixed"), grid)
         except StabilityError as exc:
             raise SimulationError(f"solver unstable at step {j}: {exc}",
                                   step_index=j) from exc
+    return RadiiField(values=radii, grid=grid), states
 
 
 # ---------------------------------------------------------------------------

@@ -660,9 +660,12 @@ class TestAssess:
         '{"stenosis_index": 0.3, "timestamp": NaN}',
         '{"radii_m": [0.001, 1%s]}' % ("0" * 400),
         '{"stenosis_index": 0.3, "session_id": NaN}',
-        '{"stenosis_index": 0.3, "converged": "no"}'],
+        '{"stenosis_index": 0.3, "converged": "no"}',
+        '{"radii_m": [0.002, -0.001, 0.002]}',
+        '{"radii_m": [0.002, 0.0, 0.002]}'],
         ids=["list", "string-index", "empty-radii", "nan-timestamp",
-             "int-beyond-float", "nan-session-id", "string-converged"])
+             "int-beyond-float", "nan-session-id", "string-converged",
+             "negative-radius", "zero-radius"])
     def test_not_a_report(self, small_config, tmp_path, capsys, text):
         report = tmp_path / "report.json"
         report.write_text(text)

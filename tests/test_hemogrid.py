@@ -355,6 +355,35 @@ class TestPinnedKernel:
             _final_rows(model, g, stack, 10.0 * gain * sine)
         assert err.value.step_index == step
 
+    # SHA-256 of a whole run, the radii then every state's area, velocity
+    # and pressure, recorded with numpy 2.4 on x86-64: simulate's 32x50
+    # run at PINNED_SIMULATE's settings (uniform r0, a 10 Pa sine of one
+    # period) and the 128x2000 run from the large stack's most stenotic row
+    HISTORY_SHA256 = {
+        "simulate-32x50": "cb8879d44cb487edb0b8d7f7cff492a5"
+                          "e6ae05a062a50ac350ed79f277ff86e9",
+        "stenotic-128x2000": "fc01c85267126eb72c0b341e8b3dddb0"
+                             "0fc7d567240afc7390b8a404baa7edf5",
+    }
+
+    @pytest.mark.parametrize("case", HISTORY_SHA256)
+    def test_history_bytes_pinned(self, model, case):
+        if case == "simulate-32x50":
+            g = make_grid(32, nt=50, dx=1e-3, dt=2e-6, s_max=5.0, cfl=0.5)
+            initial = None
+            freq = 1.0 / (g.nt * g.dt)
+            inlet = 10.0 * np.sin(2 * np.pi * freq * np.arange(g.nt) * g.dt)
+        else:
+            g, stack, sine = self._large(model)
+            initial, inlet = stack[-1], 10.0 * sine
+        radii, states = hg.solve_flow(model, g, inlet=inlet,
+                                      initial_radii=initial)
+        digest = hashlib.sha256(radii.values.tobytes())
+        for state in states:
+            for field in (state.area, state.velocity, state.pressure):
+                digest.update(field.tobytes())
+        assert digest.hexdigest() == self.HISTORY_SHA256[case]
+
     # each of the loop's other checks, on a 32-cell stack of a healthy
     # and a stenotic row: (model, nx, nt, dx, radius scale, inlet, step,
     # reason)
